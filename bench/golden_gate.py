@@ -43,7 +43,6 @@ SCRUBBED_ENV = [
     "FVC_TRACE_DIR",
     "FVC_TRACE_STORE",
     "FVC_GEN_SHARDS",
-    "FVC_SINGLE_PASS",
     "FVC_JOBS",
     "FVC_TRACE_EXPECT_WARM",
 ]

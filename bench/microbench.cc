@@ -213,8 +213,10 @@ attachKernelPhaseCounters(benchmark::State &state)
         static_cast<double>(s.blocks.load()), avg);
 }
 
+/** The gate grid through the single-pass engine with the replay
+ * kernel pinned to @p kernel (Auto = FVC_SIMD dispatch). */
 void
-BM_GridSweepSinglePass(benchmark::State &state)
+runSweepGrid(benchmark::State &state, sim::ReplayKernel kernel)
 {
     const auto &trace = gccTrace();
     const auto grid = sweepGrid();
@@ -223,6 +225,7 @@ BM_GridSweepSinglePass(benchmark::State &state)
         sim::MultiConfigSimulator engine(trace.columns,
                                          trace.initial_image,
                                          trace.frequent_values);
+        engine.forceKernel(kernel);
         for (const auto &cell : grid) {
             cache::CacheConfig dmc;
             dmc.size_bytes = cell.dmc_kb * 1024;
@@ -247,45 +250,24 @@ BM_GridSweepSinglePass(benchmark::State &state)
                             trace.columns.size() * grid.size());
     attachKernelPhaseCounters(state);
 }
+
+void
+BM_GridSweepSinglePass(benchmark::State &state)
+{
+    runSweepGrid(state, sim::ReplayKernel::Auto);
+}
 BENCHMARK(BM_GridSweepSinglePass)->Unit(benchmark::kMillisecond);
 
-// The same grid pinned to the legacy scalar fused loop: the
-// denominator of the SIMD speedup gate (check_simd_speedup.py
-// asserts BM_GridSweepSinglePass beats this by >= 3x in Release).
+// The same grid pinned to the lane kernel's scalar ISA level (what
+// portable builds and FVC_SIMD=off run): the denominator of the
+// SIMD speedup gate (check_simd_speedup.py asserts
+// BM_GridSweepSinglePass beats this by >= 1.2x in Release).
 void
-BM_GridSweepScalarFused(benchmark::State &state)
+BM_GridSweepLaneScalar(benchmark::State &state)
 {
-    const auto &trace = gccTrace();
-    const auto grid = sweepGrid();
-    for (auto _ : state) {
-        sim::MultiConfigSimulator engine(trace.columns,
-                                         trace.initial_image,
-                                         trace.frequent_values);
-        engine.forceKernel(sim::ReplayKernel::Legacy);
-        for (const auto &cell : grid) {
-            cache::CacheConfig dmc;
-            dmc.size_bytes = cell.dmc_kb * 1024;
-            dmc.line_bytes = 32;
-            if (cell.code_bits == 0) {
-                engine.addDmc(dmc);
-            } else {
-                core::FvcConfig fvc;
-                fvc.entries = 512;
-                fvc.line_bytes = 32;
-                fvc.code_bits = cell.code_bits;
-                engine.addDmcFvc(dmc, fvc);
-            }
-        }
-        engine.run();
-        double sum = 0.0;
-        for (size_t c = 0; c < engine.cellCount(); ++c)
-            sum += engine.missRatePercent(c);
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            trace.columns.size() * grid.size());
+    runSweepGrid(state, sim::ReplayKernel::LaneScalar);
 }
-BENCHMARK(BM_GridSweepScalarFused)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridSweepLaneScalar)->Unit(benchmark::kMillisecond);
 
 // --- Lane-kernel micro-ops ------------------------------------
 //
@@ -674,7 +656,7 @@ main(int argc, char **argv)
     benchmark::AddCustomContext(
         "fvc_result_cache",
         fvc::resultcache::resultCacheStateName());
-    // The ISA the lane kernel dispatches on this machine ("off"
+    // The ISA the lane kernel dispatches on this machine ("scalar"
     // when FVC_SIMD=off). Sweep timings move with the vector width,
     // so compare_bench.py refuses to diff runs recorded under
     // different ISAs.

@@ -61,7 +61,7 @@ rm -f "$golden_dir"/*.csv "$golden_dir/MANIFEST"
 # golden data is always produced under the default configuration
 # (the gate scrubs the same set before comparing).
 unset FVC_TRACE_DIR FVC_TRACE_STORE FVC_GEN_SHARDS \
-    FVC_SINGLE_PASS FVC_JOBS FVC_TRACE_EXPECT_WARM || true
+    FVC_JOBS FVC_TRACE_EXPECT_WARM || true
 
 FVC_TRACE_ACCESSES="${FVC_GOLDEN_ACCESSES:-40000}"
 export FVC_TRACE_ACCESSES

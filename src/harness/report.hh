@@ -60,34 +60,6 @@ runDegraded(SweepRunner<R> &sweep, const std::string &what)
     return std::move(outcome.results);
 }
 
-/**
- * Flatten grouped sweep results back to per-cell results. The
- * single-pass engine runs one job per (benchmark, trace) that
- * returns all of that benchmark's cells at once; renderers still
- * consume a flat per-cell vector in submission order. A failed
- * group expands to @p per_group failed cells (the whole replay
- * died, so every cell it carried is unavailable).
- */
-template <typename R>
-std::vector<std::optional<R>>
-expandGrouped(std::vector<std::optional<std::vector<R>>> &&groups,
-              size_t per_group)
-{
-    std::vector<std::optional<R>> out;
-    out.reserve(groups.size() * per_group);
-    for (auto &group : groups) {
-        if (!group) {
-            out.insert(out.end(), per_group, std::nullopt);
-            continue;
-        }
-        fvc_assert(group->size() == per_group,
-                   "grouped job returned wrong cell count");
-        for (auto &cell : *group)
-            out.emplace_back(std::move(cell));
-    }
-    return out;
-}
-
 } // namespace fvc::harness
 
 #endif // FVC_HARNESS_REPORT_HH_

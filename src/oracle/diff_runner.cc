@@ -7,8 +7,6 @@
 #include <cstring>
 
 #include "harness/trace_repo.hh"
-#include "sim/batch_encoder.hh"
-#include "sim/counting_fvc.hh"
 #include "sim/multi_config.hh"
 #include "sim/simd_dispatch.hh"
 #include "util/logging.hh"
@@ -96,8 +94,7 @@ const std::vector<Path> &
 allPaths()
 {
     static const std::vector<Path> paths = {
-        Path::Serial, Path::Counting, Path::MultiConfig,
-        Path::Simd, Path::MmapWarm};
+        Path::Serial, Path::LaneScalar, Path::Simd, Path::MmapWarm};
     return paths;
 }
 
@@ -106,8 +103,7 @@ pathName(Path path)
 {
     switch (path) {
       case Path::Serial: return "serial";
-      case Path::Counting: return "counting";
-      case Path::MultiConfig: return "multi-config";
+      case Path::LaneScalar: return "lane-scalar";
       case Path::Simd: return "simd";
       case Path::MmapWarm: return "mmap-warm";
     }
@@ -292,85 +288,30 @@ DiffRunner::runSerial(const harness::PreparedTrace &trace,
 }
 
 std::optional<Divergence>
-DiffRunner::runCounting(const harness::PreparedTrace &trace,
-                        const DiffCell &cell) const
-{
-    OracleDmcFvc oracle(cell.dmc, cell.fvc, trace.frequent_values,
-                        cell.policy);
-    trace.initial_image.forEachInteresting(
-        [&oracle](Addr addr, Word value) {
-            oracle.installWord(addr, value);
-        });
-
-    // Drive CountingDmcFvc exactly as MultiConfigSimulator does: a
-    // shared program-order image advanced *after* each record.
-    core::FrequentValueEncoding encoding(trace.frequent_values,
-                                         cell.fvc.code_bits);
-    sim::BatchEncoder encoder(encoding);
-    memmodel::FunctionalMemory image;
-    harness::installInitialImage(trace, image);
-    sim::CountingDmcFvc system(cell.dmc, cell.fvc, &encoder,
-                               cell.policy, &image);
-
-    size_t index = 0;
-    for (const sim::TraceChunk &chunk : trace.columns.chunks()) {
-        const size_t n = chunk.size();
-        for (size_t i = 0; i < n; ++i) {
-            const auto op = static_cast<trace::Op>(chunk.op[i]);
-            if (op != trace::Op::Load && op != trace::Op::Store)
-                continue;
-            trace::MemRecord rec{op, chunk.addr[i], chunk.value[i],
-                                 chunk.icount[i]};
-            system.access(op, rec.addr,
-                          encoding.isFrequent(rec.value));
-            if (op == trace::Op::Store)
-                image.write(rec.addr, rec.value);
-            oracle.access(rec);
-            if (firstDiff(oracle.stats(), oracle.fvcStats(),
-                          system.stats(), system.fvcStats())) {
-                return makeDivergence(Path::Counting, index, rec,
-                                      cell, oracle, system.stats(),
-                                      system.fvcStats());
-            }
-            ++index;
-        }
-    }
-    system.flush();
-    oracle.flush();
-    if (firstDiff(oracle.stats(), oracle.fvcStats(), system.stats(),
-                  system.fvcStats())) {
-        return makeDivergence(Path::Counting, SIZE_MAX, {}, cell,
-                              oracle, system.stats(),
-                              system.fvcStats());
-    }
-    return std::nullopt;
-}
-
-std::optional<Divergence>
-DiffRunner::runFused(const harness::PreparedTrace &trace,
-                     const DiffCell &cell, Path path) const
+DiffRunner::runLane(const harness::PreparedTrace &trace,
+                    const DiffCell &cell, Path path) const
 {
     sim::MultiConfigSimulator msim(trace.columns,
                                    trace.initial_image,
                                    trace.frequent_values);
-    // Pin the replay kernel so the two fused paths stay distinct
-    // engines regardless of FVC_SIMD: MultiConfig is always the
-    // legacy loop, Simd always the lane kernel at the best ISA.
+    // Pin the ISA level so the two lane paths stay distinct
+    // regardless of FVC_SIMD: LaneScalar is always the scalar
+    // level (the queue walk on every lane), Simd always the best
+    // ISA this machine runs.
+    sim::ReplayKernel kernel = sim::ReplayKernel::LaneScalar;
     if (path == Path::Simd) {
         switch (sim::bestLaneIsa()) {
           case sim::LaneIsa::Avx512:
-            msim.forceKernel(sim::ReplayKernel::LaneAvx512);
+            kernel = sim::ReplayKernel::LaneAvx512;
             break;
           case sim::LaneIsa::Avx2:
-            msim.forceKernel(sim::ReplayKernel::LaneAvx2);
+            kernel = sim::ReplayKernel::LaneAvx2;
             break;
           case sim::LaneIsa::Scalar:
-            msim.forceKernel(sim::ReplayKernel::LaneScalar);
             break;
         }
-    } else {
-        msim.forceKernel(sim::ReplayKernel::Legacy);
     }
+    msim.forceKernel(kernel);
     size_t index = msim.addDmcFvc(cell.dmc, cell.fvc, cell.policy);
     msim.run();
 
@@ -448,10 +389,9 @@ DiffRunner::runPath(const harness::PreparedTrace &trace,
 {
     switch (path) {
       case Path::Serial: return runSerial(trace, cell);
-      case Path::Counting: return runCounting(trace, cell);
-      case Path::MultiConfig:
-        return runFused(trace, cell, Path::MultiConfig);
-      case Path::Simd: return runFused(trace, cell, Path::Simd);
+      case Path::LaneScalar:
+        return runLane(trace, cell, Path::LaneScalar);
+      case Path::Simd: return runLane(trace, cell, Path::Simd);
       case Path::MmapWarm: return runMmapWarm(trace, cell);
     }
     fvc_panic("unreachable path");

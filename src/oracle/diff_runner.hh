@@ -8,18 +8,15 @@
  * Production paths covered:
  *  - Serial: core::DmcFvcSystem, the full data-carrying model,
  *    compared access-by-access (lockstep).
- *  - Counting: sim::CountingDmcFvc driven directly with the shared
- *    program-order image exactly as MultiConfigSimulator drives it,
- *    compared access-by-access (lockstep).
- *  - MultiConfig: a one-cell sim::MultiConfigSimulator run pinned
- *    to the legacy fused loop; the loop cannot be stepped, so only
- *    final stats are compared (a divergence here and not in
- *    Counting implicates the batch encoding / chunk dispatch, and
- *    the Counting path is the localization tool).
+ *  - LaneScalar: a one-cell sim::MultiConfigSimulator run pinned
+ *    to the lane kernel's scalar ISA level; the kernel cannot be
+ *    stepped, so only final stats are compared (a divergence here
+ *    and not in Serial implicates the count-only lane protocol, the
+ *    batch encoding or the block dispatch).
  *  - Simd: the same one-cell MultiConfigSimulator run pinned to the
- *    SIMD lane kernel at the best available ISA; final stats are
- *    compared (a divergence here and not in MultiConfig implicates
- *    the lane-group state or the vector kernels).
+ *    lane kernel at the best available ISA; final stats are
+ *    compared (a divergence here and not in LaneScalar implicates
+ *    the vector kernels).
  *  - MmapWarm: the trace is round-tripped through a v3 store file
  *    (saveTraceFile/loadTraceFile) and the mmap-backed view replayed
  *    through DmcFvcSystem; final stats are compared.
@@ -45,13 +42,12 @@ namespace fvc::oracle {
 /** One production replay path. */
 enum class Path {
     Serial,
-    Counting,
-    MultiConfig,
+    LaneScalar,
     Simd,
     MmapWarm,
 };
 
-/** All five paths, in lockstep-first order. */
+/** All four paths, in lockstep-first order. */
 const std::vector<Path> &allPaths();
 
 /** Spelled-out path name for reports. */
@@ -106,7 +102,7 @@ class DiffRunner
     runPath(const harness::PreparedTrace &trace, const DiffCell &cell,
             Path path) const;
 
-    /** runPath over all five paths; first divergence wins. */
+    /** runPath over all four paths; first divergence wins. */
     std::optional<Divergence>
     run(const harness::PreparedTrace &trace,
         const DiffCell &cell) const;
@@ -117,14 +113,11 @@ class DiffRunner
     std::optional<Divergence>
     runSerial(const harness::PreparedTrace &trace,
               const DiffCell &cell) const;
+    /** Shared by LaneScalar and Simd: a one-cell lane-kernel run
+     * pinned to @p path's ISA level. */
     std::optional<Divergence>
-    runCounting(const harness::PreparedTrace &trace,
-                const DiffCell &cell) const;
-    /** Shared by MultiConfig and Simd: a one-cell fused run with
-     * the engine pinned to @p path's replay kernel. */
-    std::optional<Divergence>
-    runFused(const harness::PreparedTrace &trace,
-             const DiffCell &cell, Path path) const;
+    runLane(const harness::PreparedTrace &trace,
+            const DiffCell &cell, Path path) const;
     std::optional<Divergence>
     runMmapWarm(const harness::PreparedTrace &trace,
                 const DiffCell &cell) const;

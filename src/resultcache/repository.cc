@@ -29,8 +29,8 @@ expectWarm()
 }
 
 /** Cells the single-pass engine can carry: write-back DMC with no
- * victim buffer or L2 behind it (MultiConfigSimulator's tag-only
- * model covers exactly the bare-DMC and DMC+FVC kinds). */
+ * victim buffer or L2 behind it (MultiConfigSimulator's lane kernel
+ * covers exactly the bare-DMC and DMC+FVC kinds). */
 bool
 singlePassEligible(const fabric::CellSpec &cell)
 {
@@ -227,19 +227,14 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
         // everything else one job per cell.
         std::vector<size_t> grouped_slots, single_slots;
         std::map<uint64_t, std::vector<size_t>> groups_by_trace;
-        if (sim::singlePassEnabled()) {
-            for (size_t k = 0; k < miss_indices.size(); ++k) {
-                const auto &cell = cells[miss_indices[k]];
-                if (singlePassEligible(cell)) {
-                    groups_by_trace[fabric::cellTraceHash(cell)]
-                        .push_back(k);
-                } else {
-                    single_slots.push_back(k);
-                }
-            }
-        } else {
-            for (size_t k = 0; k < miss_indices.size(); ++k)
+        for (size_t k = 0; k < miss_indices.size(); ++k) {
+            const auto &cell = cells[miss_indices[k]];
+            if (singlePassEligible(cell)) {
+                groups_by_trace[fabric::cellTraceHash(cell)]
+                    .push_back(k);
+            } else {
                 single_slots.push_back(k);
+            }
         }
 
         if (!groups_by_trace.empty()) {

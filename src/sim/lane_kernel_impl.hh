@@ -40,16 +40,17 @@
  * measured slower at both block and chunk granularity; runLaneDm's
  * comment records the numbers.
  *
- * Bit-identity with the per-record scalar walk. Inline walk: bulk
- * retirement only ever covers the records *before* the first
- * predicted miss, misses run in record order, and recompare makes
- * the prediction exact again after each install — so the event
- * order is exactly the scalar one. Queue walk: deferring any
+ * Bit-identity with a per-record walk (the per-cell models
+ * DmcSystem / DmcFvcSystem). Inline walk: bulk retirement only
+ * ever covers the records *before* the first predicted miss,
+ * misses run in record order, and recompare makes the prediction
+ * exact again after each install — so the event order is exactly
+ * the per-record one. Queue walk: deferring any
  * record of set S forces every later record of S to defer too —
  * all phase-1 retired hits in S precede the first pending record
  * of S in record order, and the drain is in record order, so the
  * within-set event order (probes, stamps, installs) is exactly the
- * scalar one. Absolute dmc_clock values do shift across sets, but
+ * per-record one. Absolute dmc_clock values do shift across sets, but
  * stamps are only ever compared within one set and the clock is
  * monotone, so min-stamp victims are identical. RNG draws and
  * fvc_clock advances happen only on the miss path, which runs in
@@ -198,8 +199,8 @@ dmcVictimWayT(LaneGroup &g, Lane &lane, uint32_t set)
 
 /**
  * The victim line's frequent-word mask at in-block time @p rec. The
- * shared image is frozen at the block's first record, but the
- * scalar engine reads it with every store of record index < rec
+ * shared image is frozen at the block's first record, but a
+ * per-record replay reads it with every store of record index < rec
  * already applied — so start from the FreqWordMap's frozen bits and
  * overlay the block's store log (record order; later stores
  * overwrite earlier ones). A store's frequent bit is already known:
@@ -317,8 +318,8 @@ fetchInstallT(LaneGroup &g, Lane &lane, const BlockCtx &ctx,
 
 /**
  * The full per-record protocol after a DMC probe miss; mirrors
- * CountingDmcFvc::access (and TagOnlyCache::access for bare groups)
- * from the miss point on. @p rec is the record's index within the
+ * DmcFvcSystem::access (and SetAssocCache::access, tags only, for
+ * bare groups) from the miss point on. @p rec is the record's index within the
  * block (for store-log overlay reads).
  */
 template <typename Traits>
@@ -327,7 +328,7 @@ missPathT(LaneGroup &g, Lane &lane, const BlockCtx &ctx,
           unsigned rec, Addr addr, bool is_store, bool frequent)
 {
     if (!g.is_fvc) {
-        // TagOnlyCache::access, miss branch.
+        // SetAssocCache::access, miss branch, tags only.
         if (is_store)
             ++lane.stats.write_misses;
         else
@@ -353,7 +354,7 @@ missPathT(LaneGroup &g, Lane &lane, const BlockCtx &ctx,
         return;
     }
 
-    // CountingDmcFvc::access from the DMC-miss point on. One FVC
+    // DmcFvcSystem::access from the DMC-miss point on. One FVC
     // probe serves every branch below, including the fetchInstallT
     // overlay invalidation (see its contract).
     const size_t row = fvcRowOf(lane, addr);
@@ -489,8 +490,8 @@ runLaneCareful(LaneGroup &g, Lane &lane, const BlockCtx &ctx,
  * which inflated the drained set to 46% at chunk granularity
  * (1.10M; exact, in-chunk followers only) and 53% at block
  * granularity (1.27M; set-sticky for the whole block, shredding
- * the bulk runs and replaying at ~0.75x of the legacy scalar
- * engine). The inflation drains as re-probe *hits*: pure MissEntry
+ * the bulk runs and replaying at ~0.75x of the since-removed
+ * per-cell fused loop). The inflation drains as re-probe *hits*: pure MissEntry
  * round-trip, re-probe, and drain-setup overhead (~30 cycles per
  * deferred record) on top of identical miss-path work — ~44 ms vs
  * ~32 ms inline even at chunk granularity. The queue engine earns

@@ -268,7 +268,7 @@ void
 LaneGroupSet::flush()
 {
     // Per lane: DMC lines then FVC entries, index order — the order
-    // CountingDmcFvc::flush uses (only counters care; keep exact).
+    // DmcFvcSystem::flush uses (only counters care; keep exact).
     for (LaneGroup &g : groups_) {
         for (Lane &lane : g.lanes) {
             const size_t dend = lane.dmc_base + lane.dmc_lines;

@@ -3,12 +3,13 @@
  * Struct-of-arrays lane state for the SIMD multi-configuration
  * replay kernel.
  *
- * The single-pass engine's scalar loop dispatches every record to
- * every grid cell through a per-cell object (TagOnlyCache /
- * CountingDmcFvc). The lane kernel restructures that per-config
- * state into *lane groups*: cells whose configs share
- * (line_bytes, assoc, replacement, code_bits) — and therefore share
- * control flow on the hot path — become lanes of one group, and
+ * The per-cell models (cache::DmcSystem / core::DmcFvcSystem)
+ * replay the trace once per grid cell, each through its own
+ * heap-allocated cache objects. The lane kernel keeps the
+ * per-config state of a whole grid as *lane groups* instead: cells
+ * whose configs share (line_bytes, assoc, replacement, code_bits)
+ * — and therefore share control flow on the hot path — become
+ * lanes of one group, and
  * their line state is stored as contiguous columns (tag / dirty /
  * stamp, plus FVC tag / dirty / stamp / present) concatenated
  * lane-after-lane in one arena allocation per group. The hot
@@ -33,8 +34,8 @@
  *
  * Bit-identity: every miss (and every record aliasing a queued
  * miss's set) drains in record order, so RNG streams, FVC clocks,
- * counters, and the occupancy double accumulate exactly as
- * CountingDmcFvc does; within a set, hit stamps and install stamps
+ * counters, and the occupancy double accumulate exactly as in
+ * DmcFvcSystem; within a set, hit stamps and install stamps
  * also keep record order, and stamps are only ever compared within
  * one set. Lanes are mutually independent within a block (the
  * shared program-order image is only advanced at block boundaries;
@@ -90,7 +91,7 @@ inline constexpr size_t kLaneTagPad = 16;
  * maintained incrementally as the image advances.
  *
  * The eviction path needs the victim line's frequent-word mask,
- * which the scalar engine computes by reading every word of the
+ * which the per-cell model computes by reading every word of the
  * line from the image and searching the encoding table. Misses are
  * common enough on the SPEC profiles (10-20% of accesses) that this
  * scan dominates the whole sweep. The map caches the encode: byte w
@@ -395,11 +396,11 @@ class LaneGroupSet
     const std::vector<LaneGroup> &groups() const { return groups_; }
 
     /** Account the end-of-run flush for every lane (DMC then FVC,
-     * index order — the order CountingDmcFvc::flush uses). */
+     * index order — the order DmcFvcSystem::flush uses). */
     void flush();
 
     /** One occupancy sample; mirrors
-     * CountingDmcFvc::sampleOccupancy. */
+     * DmcFvcSystem::sampleOccupancy. */
     static void sampleOccupancy(LaneGroup &g, Lane &lane);
 
   private:

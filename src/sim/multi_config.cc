@@ -1,138 +1,24 @@
 #include "sim/multi_config.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
 
 #include "sim/kernel_stats.hh"
 #include "sim/lane_kernel.hh"
 #include "sim/simd_dispatch.hh"
 #include "util/logging.hh"
-#include "util/strings.hh"
 
 namespace fvc::sim {
-
-bool
-singlePassEnabled()
-{
-    if (const char *env = std::getenv("FVC_SINGLE_PASS")) {
-        // Strict parse, same contract as FVC_JOBS: trailing garbage
-        // is a user error, not a silent engine switch.
-        auto v = util::parseUint(env);
-        if (v)
-            return *v != 0;
-        fvc_warn("ignoring bad FVC_SINGLE_PASS value: ", env);
-    }
-    return true;
-}
 
 const char *
 replayKernelName(ReplayKernel kernel)
 {
     switch (kernel) {
       case ReplayKernel::Auto: return "auto";
-      case ReplayKernel::Legacy: return "legacy";
       case ReplayKernel::LaneScalar: return "lane-scalar";
       case ReplayKernel::LaneAvx2: return "lane-avx2";
       case ReplayKernel::LaneAvx512: return "lane-avx512";
     }
     fvc_panic("unreachable replay kernel");
-}
-
-TagOnlyCache::TagOnlyCache(const cache::CacheConfig &config,
-                           uint64_t seed)
-    : config_(config), rng_(seed)
-{
-    config_.validate();
-    fvc_assert(config_.write_policy == cache::WritePolicy::WriteBack,
-               "tag-only model requires a write-back cache "
-               "(write-through moves data on the hit path)");
-    lines_.resize(config_.lines());
-    offset_bits_ = config_.offsetBits();
-    tag_shift_ = offset_bits_ + config_.indexBits();
-    set_mask_ = config_.sets() - 1;
-}
-
-uint32_t
-TagOnlyCache::victimWay(uint32_t set)
-{
-    for (uint32_t way = 0; way < config_.assoc; ++way) {
-        if (!lineAt(set, way).valid)
-            return way;
-    }
-    switch (config_.replacement) {
-      case cache::Replacement::Random:
-        return static_cast<uint32_t>(rng_.below(config_.assoc));
-      case cache::Replacement::LRU:
-      case cache::Replacement::FIFO: {
-        uint32_t best = 0;
-        for (uint32_t way = 1; way < config_.assoc; ++way) {
-            if (lineAt(set, way).stamp < lineAt(set, best).stamp)
-                best = way;
-        }
-        return best;
-      }
-    }
-    fvc_panic("unreachable replacement policy");
-}
-
-void
-TagOnlyCache::access(trace::Op op, Addr addr)
-{
-    uint32_t set = (addr >> offset_bits_) & set_mask_;
-    uint64_t tag = addr >> tag_shift_;
-
-    TagLine *line =
-        &lines_[static_cast<size_t>(set) * config_.assoc];
-    TagLine *hit = nullptr;
-    for (uint32_t way = 0; way < config_.assoc; ++way, ++line) {
-        if (line->valid && line->tag == tag) {
-            hit = line;
-            break;
-        }
-    }
-
-    if (hit) {
-        if (config_.replacement == cache::Replacement::LRU)
-            hit->stamp = ++clock_;
-        if (op == trace::Op::Load) {
-            ++stats_.read_hits;
-        } else {
-            ++stats_.write_hits;
-            hit->dirty = true;
-        }
-        return;
-    }
-
-    if (op == trace::Op::Load)
-        ++stats_.read_misses;
-    else
-        ++stats_.write_misses;
-    ++stats_.fills;
-    stats_.fetch_bytes += config_.line_bytes;
-
-    TagLine &victim = lineAt(set, victimWay(set));
-    if (victim.valid && victim.dirty) {
-        ++stats_.writebacks;
-        stats_.writeback_bytes += config_.line_bytes;
-    }
-    victim.tag = tag;
-    victim.valid = true;
-    victim.dirty = (op == trace::Op::Store);
-    victim.stamp = ++clock_;
-}
-
-void
-TagOnlyCache::flush()
-{
-    for (auto &line : lines_) {
-        if (line.valid && line.dirty) {
-            ++stats_.writebacks;
-            stats_.writeback_bytes += config_.line_bytes;
-        }
-        line.valid = false;
-        line.dirty = false;
-    }
 }
 
 MultiConfigSimulator::MultiConfigSimulator(
@@ -150,7 +36,7 @@ MultiConfigSimulator::addDmc(const cache::CacheConfig &config)
     fvc_assert(!ran_, "cells must be added before run()");
     config.validate();
     fvc_assert(config.write_policy == cache::WritePolicy::WriteBack,
-               "tag-only model requires a write-back cache "
+               "tag-only lanes require a write-back cache "
                "(write-through moves data on the hit path)");
     Cell cell;
     cell.is_fvc = false;
@@ -178,10 +64,10 @@ MultiConfigSimulator::addDmcFvc(const cache::CacheConfig &dmc,
     if (it == group_of_bits_.end()) {
         // Same construction as harness::runDmcFvc: the profiled
         // list truncated to the encoding capacity.
-        encoding_groups_.emplace_back(core::FrequentValueEncoding(
+        encoders_.emplace_back(core::FrequentValueEncoding(
             frequent_values_, fvc.code_bits));
         it = group_of_bits_
-                 .emplace(fvc.code_bits, encoding_groups_.size() - 1)
+                 .emplace(fvc.code_bits, encoders_.size() - 1)
                  .first;
     }
 
@@ -223,24 +109,13 @@ MultiConfigSimulator::resolveKernel() const
     if (forced_ != ReplayKernel::Auto)
         return forced_;
     if (simdMode() == SimdMode::Off)
-        return ReplayKernel::Legacy;
+        return ReplayKernel::LaneScalar;
     switch (bestLaneIsa()) {
       case LaneIsa::Avx512: return ReplayKernel::LaneAvx512;
       case LaneIsa::Avx2: return ReplayKernel::LaneAvx2;
       case LaneIsa::Scalar: return ReplayKernel::LaneScalar;
     }
     fvc_panic("unreachable lane ISA");
-}
-
-void
-MultiConfigSimulator::installSharedImage()
-{
-    // The shared image starts exactly where each per-system image
-    // would: the preload image's interesting words.
-    initial_image_.forEachInteresting(
-        [this](Addr addr, Word value) {
-            shared_image_.write(addr, value);
-        });
 }
 
 void
@@ -253,113 +128,16 @@ MultiConfigSimulator::run()
 
     used_ = resolveKernel();
     logReplayKernelOnce(replayKernelName(used_));
-    if (used_ == ReplayKernel::Legacy)
-        runLegacy();
-    else
-        runLane(used_);
-}
 
-void
-MultiConfigSimulator::runLegacy()
-{
-    std::vector<TagOnlyCache> dmcs;
-    std::vector<size_t> dmc_cell;
-    std::vector<std::unique_ptr<CountingDmcFvc>> systems;
-    std::vector<size_t> system_cell;
-    std::vector<unsigned> system_group;
-    for (size_t i = 0; i < cells_.size(); ++i) {
-        const Cell &c = cells_[i];
-        if (c.is_fvc) {
-            systems.push_back(std::make_unique<CountingDmcFvc>(
-                c.dmc, c.fvc,
-                &encoding_groups_[c.enc_group].encoder, c.policy,
-                &shared_image_));
-            system_cell.push_back(i);
-            system_group.push_back(c.enc_group);
-        } else {
-            dmcs.emplace_back(c.dmc);
-            dmc_cell.push_back(i);
-        }
-    }
-
-    if (!systems.empty())
-        installSharedImage();
-
-    const size_t n_dmcs = dmcs.size();
-    const size_t n_systems = systems.size();
-
-    // Mask buffers sized once from the largest chunk and reused:
-    // every word the replay loop reads is rewritten per chunk, so
-    // stale words past a shorter chunk's end are never consumed.
-    size_t max_chunk = 0;
-    for (const TraceChunk &chunk : trace_.chunks())
-        max_chunk = std::max(max_chunk, chunk.size());
-    for (auto &group : encoding_groups_)
-        group.mask.resize((max_chunk + 63) / 64);
-
-    for (const TraceChunk &chunk : trace_.chunks()) {
-        const size_t n = chunk.size();
-        const Addr *addrs = chunk.addr.data();
-        const Word *values = chunk.value.data();
-        const uint8_t *ops = chunk.op.data();
-
-        // Frequent-value bits for this chunk, one pass per distinct
-        // encoding (not per cell): BatchEncoder sweeps the value
-        // column 8 at a time and every system with the same
-        // code_bits shares the result.
-        for (auto &group : encoding_groups_) {
-            for (size_t i = 0; i < n; i += 64) {
-                size_t span = n - i < 64 ? n - i : 64;
-                group.mask[i / 64] =
-                    group.encoder.frequentMask(values + i, span);
-            }
-        }
-
-        for (size_t i = 0; i < n; ++i) {
-            const auto op = static_cast<trace::Op>(ops[i]);
-            if (op != trace::Op::Load && op != trace::Op::Store)
-                continue;
-            const Addr addr = addrs[i];
-
-            for (size_t d = 0; d < n_dmcs; ++d)
-                dmcs[d].access(op, addr);
-
-            if (n_systems != 0) {
-                for (size_t s = 0; s < n_systems; ++s) {
-                    const auto &mask =
-                        encoding_groups_[system_group[s]].mask;
-                    bool frequent =
-                        (mask[i / 64] >> (i % 64)) & 1u;
-                    systems[s]->access(op, addr, frequent);
-                }
-                // Advance the shared image only after every system
-                // consumed the record: a miss during the store must
-                // observe the line's pre-store contents, and an
-                // eviction's frequent-word scan the victim's
-                // (strictly older) values.
-                if (op == trace::Op::Store)
-                    shared_image_.write(addr, values[i]);
-            }
-        }
-    }
-
-    for (size_t d = 0; d < n_dmcs; ++d) {
-        dmcs[d].flush();
-        cell_stats_[dmc_cell[d]] = dmcs[d].stats();
-    }
-    for (size_t s = 0; s < n_systems; ++s) {
-        systems[s]->flush();
-        cell_stats_[system_cell[s]] = systems[s]->stats();
-        cell_fvc_stats_[system_cell[s]] = systems[s]->fvcStats();
-    }
-}
-
-void
-MultiConfigSimulator::runLane(ReplayKernel kernel)
-{
+    // The shared image starts exactly where each per-system image
+    // would: the preload image's interesting words.
     const bool has_fvc = n_fvc_cells_ != 0;
-    if (has_fvc)
-        installSharedImage();
+    if (has_fvc) {
+        initial_image_.forEachInteresting(
+            [this](Addr addr, Word value) {
+                shared_image_.write(addr, value);
+            });
+    }
 
     LaneGroupSet lanes;
     for (size_t i = 0; i < cells_.size(); ++i) {
@@ -372,15 +150,15 @@ MultiConfigSimulator::runLane(ReplayKernel kernel)
     lanes.finalize();
 
     LaneBlockFn fn = runLaneBlockScalar;
-    if (kernel == ReplayKernel::LaneAvx2)
+    if (used_ == ReplayKernel::LaneAvx2)
         fn = runLaneBlockAvx2;
-    else if (kernel == ReplayKernel::LaneAvx512)
+    else if (used_ == ReplayKernel::LaneAvx512)
         fn = runLaneBlockAvx512;
 
     std::vector<const BatchEncoder *> encoders;
-    for (auto &group : encoding_groups_)
-        encoders.push_back(&group.encoder);
-    const size_t n_groups = encoding_groups_.size();
+    for (const BatchEncoder &encoder : encoders_)
+        encoders.push_back(&encoder);
+    const size_t n_groups = encoders_.size();
     FreqWordMap freq_map;
     freq_map.init(encoders.data(), n_groups);
 
@@ -448,9 +226,8 @@ MultiConfigSimulator::runLane(ReplayKernel kernel)
             ctx.store_line_filter = filter;
             if (has_fvc) {
                 for (size_t e = 0; e < n_groups; ++e)
-                    freq[e] =
-                        encoding_groups_[e].encoder.frequentMask(
-                            values + i0, span);
+                    freq[e] = encoders_[e].frequentMask(
+                        values + i0, span);
             }
             encode_add(te0);
 

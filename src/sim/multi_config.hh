@@ -5,37 +5,32 @@
  * (benchmark, trace) pair at once, instead of replaying the trace
  * once per grid cell.
  *
- * Two cell kinds, two sharing strategies:
+ * Two cell kinds, one replay engine (the lane kernel, lane_state.hh
+ * / lane_kernel.hh, DESIGN.md §13):
  *
- *  - Bare DMC cells run on a tag-only cache model. A write-back
- *    cache's hit/miss/fill/writeback counters depend only on the
- *    address/op stream — never on data values — so the data arrays,
- *    the per-system memory image, and all line-fill/writeback data
+ *  - Bare DMC cells keep tags only. A write-back cache's
+ *    hit/miss/fill/writeback counters depend only on the address/op
+ *    stream — never on data values — so the data arrays, the
+ *    per-system memory image, and all line-fill/writeback data
  *    movement of the full model are dropped while every counter
- *    stays byte-identical to DmcSystem (the parity suite asserts
- *    all eight CacheStats fields).
+ *    stays byte-identical to cache::DmcSystem (the parity suites
+ *    assert all eight CacheStats fields).
  *
  *  - DMC+FVC cells run the count-only DMC+FVC protocol: the full
  *    transfer protocol over metadata only. Every value-dependent
  *    decision in the protocol asks "is this value frequent?" about
  *    a *newest* program-order value, so one shared functional image
- *    that the engine advances in program order (store applied after
- *    dispatching each record) answers all of them, and per-system
- *    data arrays, code arrays, and memory images are elided. See
- *    DESIGN.md "Single-pass multi-configuration simulation" for the
- *    full argument, including why the classic inclusion property
- *    does NOT extend to the combined DMC+FVC system and a fused
- *    N-way update loop is used instead.
+ *    that the engine advances in program order answers all of them,
+ *    and per-system data arrays, code arrays, and memory images are
+ *    elided. Counters, FvcStats and occupancy doubles are
+ *    byte-identical to core::DmcFvcSystem. See DESIGN.md
+ *    "Single-pass multi-configuration simulation" for the full
+ *    argument, including why the classic inclusion property does
+ *    NOT extend to the combined DMC+FVC system and every cell keeps
+ *    its full state instead.
  *
- * Two replay kernels produce the same counters (DESIGN.md §13):
- *
- *  - Legacy: the original fused loop over per-cell objects
- *    (TagOnlyCache / CountingDmcFvc), one access() call per record
- *    per cell. Selected by FVC_SIMD=off or forceKernel(Legacy).
- *  - Lane: the SIMD lane kernel (lane_state.hh / lane_kernel.hh) —
- *    per-config state as struct-of-arrays lane groups, records
- *    batched per 64-record mask block, hot ops evaluated 8/16-wide
- *    when AVX2/AVX-512 is available. The default.
+ * The lane kernel runs at one of three ISA levels (scalar, AVX2,
+ * AVX-512), all bit-identical; FVC_SIMD and forceKernel() pick it.
  *
  * Determinism: cells are updated in add order on one thread; the
  * engine holds no global state. Parallelism stays at the
@@ -45,7 +40,6 @@
 #ifndef FVC_SIM_MULTI_CONFIG_HH_
 #define FVC_SIM_MULTI_CONFIG_HH_
 
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -55,78 +49,22 @@
 #include "memmodel/functional_memory.hh"
 #include "sim/batch_encoder.hh"
 #include "sim/chunked_trace.hh"
-#include "sim/counting_fvc.hh"
-#include "util/random.hh"
 
 namespace fvc::sim {
 
 /**
- * Single-pass engine switch: FVC_SINGLE_PASS=0 falls back to the
- * per-cell engine (strict-parsed; unset or any nonzero value keeps
- * the single-pass engine on).
- */
-bool singlePassEnabled();
-
-/**
- * Tag-only write-back cache: SetAssocCache's replacement and
- * accounting with no data arrays or backing memory. Counter-for-
- * counter identical to DmcSystem over the same access stream.
- */
-class TagOnlyCache
-{
-  public:
-    explicit TagOnlyCache(const cache::CacheConfig &config,
-                          uint64_t seed = 12345);
-
-    const cache::CacheConfig &config() const { return config_; }
-
-    /** One load/store; mirrors SetAssocCache::access. */
-    void access(trace::Op op, Addr addr);
-
-    /** Account the end-of-run flush (mirrors DmcSystem::flush). */
-    void flush();
-
-    const cache::CacheStats &stats() const { return stats_; }
-
-  private:
-    struct TagLine
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t stamp = 0;
-    };
-
-    cache::CacheConfig config_;
-    std::vector<TagLine> lines_;
-    uint64_t clock_ = 0;
-    util::Rng rng_;
-    cache::CacheStats stats_;
-    unsigned offset_bits_ = 0;
-    unsigned tag_shift_ = 0;
-    uint32_t set_mask_ = 0;
-
-    TagLine &lineAt(uint32_t set, uint32_t way)
-    {
-        return lines_[static_cast<size_t>(set) * config_.assoc + way];
-    }
-    uint32_t victimWay(uint32_t set);
-};
-
-/**
  * Replay kernel selection. Auto resolves via FVC_SIMD and runtime
- * ISA detection at run() time; the concrete values force one
- * kernel (tests and benches pin them to compare engines).
+ * ISA detection at run() time; the concrete values force one ISA
+ * level (tests and benches pin them to compare kernels).
  */
 enum class ReplayKernel {
     Auto,
-    Legacy,
     LaneScalar,
     LaneAvx2,
     LaneAvx512,
 };
 
-/** "auto", "legacy", "lane-scalar", "lane-avx2", "lane-avx512". */
+/** "auto", "lane-scalar", "lane-avx2", "lane-avx512". */
 const char *replayKernelName(ReplayKernel kernel);
 
 /** The single-pass sweep engine for one (benchmark, trace) pair. */
@@ -150,7 +88,7 @@ class MultiConfigSimulator
 
     /**
      * Add a bare DMC cell (write-back only: write-through caches
-     * move data on the hit path, which the tag-only model elides).
+     * move data on the hit path, which the tag-only lanes elide).
      * @return the cell index for stats()/missRatePercent()
      */
     size_t addDmc(const cache::CacheConfig &config);
@@ -191,21 +129,8 @@ class MultiConfigSimulator
         cache::CacheConfig dmc;
         core::FvcConfig fvc;
         core::DmcFvcPolicy policy;
-        /** encoding_groups_ index (FVC cells only). */
+        /** encoders_ index (FVC cells only). */
         unsigned enc_group = 0;
-    };
-
-    /** Systems sharing one encoding (same code_bits). */
-    struct EncodingGroup
-    {
-        BatchEncoder encoder;
-        /** Per-record frequent-value bit for the current chunk. */
-        std::vector<uint64_t> mask;
-
-        explicit EncodingGroup(const core::FrequentValueEncoding &e)
-            : encoder(e)
-        {
-        }
     };
 
     const ChunkedTrace &trace_;
@@ -214,12 +139,12 @@ class MultiConfigSimulator
 
     std::vector<Cell> cells_;
     size_t n_fvc_cells_ = 0;
+    /** One encoder per distinct code_bits; Cell::enc_group indexes
+     * it. */
     std::map<unsigned, size_t> group_of_bits_;
-    /** deque: growth must not relocate groups (the legacy engine
-     * hands out pointers to each group's BatchEncoder). */
-    std::deque<EncodingGroup> encoding_groups_;
+    std::vector<BatchEncoder> encoders_;
 
-    /** Post-run per-cell stats, filled by whichever kernel ran. */
+    /** Post-run per-cell stats, filled by run(). */
     std::vector<cache::CacheStats> cell_stats_;
     std::vector<core::FvcStats> cell_fvc_stats_;
 
@@ -231,9 +156,6 @@ class MultiConfigSimulator
     bool ran_ = false;
 
     ReplayKernel resolveKernel() const;
-    void installSharedImage();
-    void runLegacy();
-    void runLane(ReplayKernel kernel);
 };
 
 } // namespace fvc::sim

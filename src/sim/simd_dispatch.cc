@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 #include "sim/lane_kernel.hh"
 #include "util/logging.hh"
@@ -64,18 +65,19 @@ bestLaneIsa()
 void
 logReplayKernelOnce(const char *kernel_name)
 {
-    static bool logged = false;
-    if (logged)
-        return;
-    logged = true;
-    fvc_inform("multi-config replay kernel: ", kernel_name);
+    // Concurrent run()s (the result repository's thread backend,
+    // the daemon) all reach here; call_once keeps it race-free.
+    static std::once_flag logged;
+    std::call_once(logged, [kernel_name] {
+        fvc_inform("multi-config replay kernel: ", kernel_name);
+    });
 }
 
 std::string
 simdKernelContextString()
 {
     if (simdMode() == SimdMode::Off)
-        return "off";
+        return laneIsaName(LaneIsa::Scalar);
     return laneIsaName(bestLaneIsa());
 }
 

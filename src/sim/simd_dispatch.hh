@@ -19,10 +19,10 @@
 namespace fvc::sim {
 
 /**
- * FVC_SIMD knob: off forces the legacy scalar fused loop, on and
- * auto select the lane kernel at the best available ISA. Strict
- * parse, same contract as FVC_JOBS/FVC_SINGLE_PASS: anything other
- * than exactly "auto", "on", or "off" warns and falls back to Auto.
+ * FVC_SIMD knob: off pins the lane kernel's scalar ISA level, on
+ * and auto select the best available ISA. Strict parse, same
+ * contract as FVC_JOBS: anything other than exactly "auto", "on",
+ * or "off" warns and falls back to Auto.
  */
 enum class SimdMode {
     Auto,
@@ -48,12 +48,13 @@ bool laneIsaAvailable(LaneIsa isa);
 /** The widest available ISA (Scalar is always available). */
 LaneIsa bestLaneIsa();
 
-/** Emit the dispatched-kernel inform line once per process. */
+/** Emit the dispatched-kernel inform line once per process
+ * (thread-safe). */
 void logReplayKernelOnce(const char *kernel_name);
 
 /**
  * The ISA level an un-forced run would dispatch to right now:
- * "off" when FVC_SIMD=off, else the best available ISA name.
+ * "scalar" when FVC_SIMD=off, else the best available ISA name.
  * Recorded in bench JSON context (fvc_simd_isa) so compare_bench.py
  * can refuse cross-ISA comparisons.
  */

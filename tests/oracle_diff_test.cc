@@ -2,9 +2,9 @@
  * @file
  * Differential parity: the protocol-literal oracle must agree
  * bit-for-bit with every production replay path — serial
- * DmcFvcSystem, count-only CountingDmcFvc, the fused single-pass
- * MultiConfigSimulator, and the mmap-backed warm store replay —
- * over all 18 modelled SPEC95 profiles.
+ * DmcFvcSystem, the single-pass lane kernel at its scalar and its
+ * best ISA level, and the mmap-backed warm store replay — over all
+ * 18 modelled SPEC95 profiles.
  */
 
 #include <gtest/gtest.h>

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel sweep engine: FVC_JOBS parsing, the thread
- * pool, SweepRunner's deterministic result ordering, and the shared
- * TraceRepository's memoization under concurrent lookup.
+ * pool, SweepRunner's deterministic result ordering, the shared
+ * TraceRepository's memoization under concurrent lookup, and
+ * single-pass groups replayed on concurrent pool workers.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +18,12 @@
 
 #include "cache/cache_system.hh"
 #include "harness/parallel.hh"
+#include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/trace_repo.hh"
+#include "sim/multi_config.hh"
 #include "util/error.hh"
+#include "util/strings.hh"
 
 namespace fh = fvc::harness;
 namespace fw = fvc::workload;
@@ -329,6 +333,67 @@ TEST(SweepRunnerTest, SerialAndParallelBitIdentical)
     ASSERT_EQ(serial_counts.size(), wide_counts.size());
     for (size_t i = 0; i < serial_counts.size(); ++i)
         EXPECT_EQ(serial_counts[i], wide_counts[i]) << "cell " << i;
+}
+
+// Grouped single-pass jobs must render identical tables no matter
+// how many pool workers execute them (FVC_JOBS 1 vs 8 in the bench
+// binaries maps to the pool width here). At width 8 the three
+// groups replay concurrently, so the TSan build also checks that
+// concurrent MultiConfigSimulator::run() calls share no unguarded
+// state.
+TEST(SinglePass, GroupedSweepIdenticalAcrossPoolWidths)
+{
+    const std::vector<fw::SpecInt> benches = {
+        fw::SpecInt::Go099, fw::SpecInt::Li130, fw::SpecInt::Perl134};
+    constexpr size_t kCellsPerGroup = 4;
+
+    auto run_grouped = [&](unsigned threads) {
+        fh::ThreadPool pool(threads);
+        fh::SweepRunner<std::vector<double>> sweep(pool);
+        for (auto bench : benches) {
+            auto profile = fw::specIntProfile(bench);
+            sweep.submit([profile] {
+                auto trace = fh::sharedTrace(profile, 20000, 31);
+                fvc::sim::MultiConfigSimulator engine(
+                    trace->columns, trace->initial_image,
+                    trace->frequent_values);
+                fc::CacheConfig dmc;
+                dmc.size_bytes = 8 * 1024;
+                dmc.line_bytes = 32;
+                engine.addDmc(dmc);
+                for (unsigned bits : {1u, 2u, 3u}) {
+                    co::FvcConfig fvc;
+                    fvc.entries = 256;
+                    fvc.line_bytes = 32;
+                    fvc.code_bits = bits;
+                    engine.addDmcFvc(dmc, fvc);
+                }
+                engine.run();
+                std::vector<double> out;
+                for (size_t c = 0; c < engine.cellCount(); ++c)
+                    out.push_back(engine.missRatePercent(c));
+                return out;
+            });
+        }
+        // Flatten per-group results to per-cell strings; a failed
+        // group renders all of its cells as FAILED.
+        std::vector<std::string> rendered;
+        for (const auto &group :
+             fh::runDegraded(sweep, "pool-width parity")) {
+            EXPECT_TRUE(group.has_value());
+            if (!group) {
+                rendered.insert(rendered.end(), kCellsPerGroup,
+                                fh::failedCell());
+                continue;
+            }
+            EXPECT_EQ(group->size(), kCellsPerGroup);
+            for (double rate : *group)
+                rendered.push_back(fvc::util::fixedStr(rate, 3));
+        }
+        return rendered;
+    };
+
+    EXPECT_EQ(run_grouped(1), run_grouped(8));
 }
 
 TEST(TraceRepositoryTest, MemoizesByKey)

@@ -78,8 +78,8 @@ class EnvGuard
         "FVC_RESULT_DIR",      "FVC_RESULT_CACHE",
         "FVC_RESULT_CACHE_MB", "FVC_RESULT_EXPECT_WARM",
         "FVC_TRACE_DIR",       "FVC_TRACE_STORE",
-        "FVC_WORKERS",         "FVC_SINGLE_PASS",
-        "FVC_GEN_SHARDS",      "FVC_JOBS"};
+        "FVC_WORKERS",         "FVC_GEN_SHARDS",
+        "FVC_JOBS"};
     std::vector<std::pair<const char *, std::optional<std::string>>>
         saved_;
 };
@@ -485,16 +485,6 @@ TEST(ResultRepositoryTest, DisabledModeMatchesDirectSimulation)
         ASSERT_TRUE(results[i]) << specs[i].describe();
         auto direct = fb::simulateCell(specs[i]);
         EXPECT_TRUE(results[i]->identical(direct))
-            << specs[i].describe();
-    }
-
-    // The scalar per-cell engine path agrees too.
-    EnvGuard::set("FVC_SINGLE_PASS", "0");
-    frc::ResultRepository scalar;
-    auto scalar_results = scalar.runCells(specs, "parity sweep");
-    for (size_t i = 0; i < specs.size(); ++i) {
-        ASSERT_TRUE(scalar_results[i]);
-        EXPECT_TRUE(scalar_results[i]->identical(*results[i]))
             << specs[i].describe();
     }
 }

@@ -1,12 +1,12 @@
 /**
  * @file
  * Parity suite for the SIMD lane-parallel replay kernel: every
- * kernel level (legacy fused loop, lane-scalar, and whichever of
- * lane-avx2 / lane-avx512 this machine can run) must produce
- * bit-identical CacheStats, FvcStats, and occupancy doubles on
- * identical grids — across the SPECint95 profiles, randomized
- * geometries, non-multiple-of-lane-width cell counts, and mixed
- * DMC-only / DMC+FVC grids.
+ * kernel level (lane-scalar, and whichever of lane-avx2 /
+ * lane-avx512 this machine can run) must reproduce the per-cell
+ * full models (DmcSystem / DmcFvcSystem) bit for bit — CacheStats,
+ * FvcStats, and occupancy doubles — across the SPECint95 profiles,
+ * randomized geometries, non-multiple-of-lane-width cell counts,
+ * and mixed DMC-only / DMC+FVC grids.
  */
 
 #include <cstdlib>
@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_system.hh"
+#include "core/dmc_fvc_system.hh"
 #include "harness/runner.hh"
 #include "sim/chunked_trace.hh"
 #include "sim/kernel_stats.hh"
@@ -104,6 +106,38 @@ runGrid(const harness::PreparedTrace &trace,
     return out;
 }
 
+/**
+ * The per-cell full models, one replay per cell: the reference
+ * every lane kernel must reproduce (the policy applied as
+ * DiffRunner::runSerial applies it).
+ */
+std::vector<CellResult>
+runReference(const harness::PreparedTrace &trace,
+             const std::vector<GridCell> &cells)
+{
+    std::vector<CellResult> out;
+    for (const GridCell &c : cells) {
+        CellResult r;
+        if (c.is_fvc) {
+            core::DmcFvcSystem system(
+                c.dmc, c.fvc,
+                core::FrequentValueEncoding(trace.frequent_values,
+                                            c.fvc.code_bits),
+                c.policy);
+            harness::replayFast(trace, system);
+            r.stats = system.stats();
+            r.fvc = system.fvcStats();
+            r.has_fvc = true;
+        } else {
+            cache::DmcSystem system(c.dmc);
+            harness::replayFast(trace, system);
+            r.stats = system.stats();
+        }
+        out.push_back(r);
+    }
+    return out;
+}
+
 /** The lane kernels this binary + CPU can actually run. */
 std::vector<sim::ReplayKernel>
 availableLaneKernels()
@@ -159,7 +193,7 @@ expectKernelsAgree(const harness::PreparedTrace &trace,
                    const std::vector<GridCell> &cells,
                    const std::string &what)
 {
-    auto want = runGrid(trace, cells, sim::ReplayKernel::Legacy);
+    auto want = runReference(trace, cells);
     for (sim::ReplayKernel kernel : availableLaneKernels()) {
         auto got = runGrid(trace, cells, kernel);
         ASSERT_EQ(want.size(), got.size());
@@ -352,15 +386,15 @@ TEST(SimdKernel, HighMissRateTinyGeometries)
     // an FVC hit counts — it is a DMC tag miss, so the lane kernel
     // runs its miss path even though the merged stats record it as
     // a hit.
-    auto legacy = runGrid(trace, cells, sim::ReplayKernel::Legacy);
-    for (size_t i = 0; i < legacy.size(); ++i) {
-        const cache::CacheStats &s = legacy[i].stats;
+    auto reference = runReference(trace, cells);
+    for (size_t i = 0; i < reference.size(); ++i) {
+        const cache::CacheStats &s = reference[i].stats;
         uint64_t drained = s.read_misses + s.write_misses;
         const uint64_t accesses =
             drained + s.read_hits + s.write_hits;
-        if (legacy[i].has_fvc) {
-            drained += legacy[i].fvc.fvc_read_hits +
-                       legacy[i].fvc.fvc_write_hits;
+        if (reference[i].has_fvc) {
+            drained += reference[i].fvc.fvc_read_hits +
+                       reference[i].fvc.fvc_write_hits;
         }
         ASSERT_GT(accesses, 0u);
         EXPECT_GT(static_cast<double>(drained) /
@@ -415,9 +449,9 @@ TEST(SimdKernel, MissQueueOverflowBoundary)
     fvc.fvc.code_bits = 3;
 
     const std::vector<GridCell> cells = {bare, fvc};
-    auto legacy = runGrid(trace, cells, sim::ReplayKernel::Legacy);
-    for (size_t i = 0; i < legacy.size(); ++i) {
-        const cache::CacheStats &s = legacy[i].stats;
+    auto reference = runReference(trace, cells);
+    for (size_t i = 0; i < reference.size(); ++i) {
+        const cache::CacheStats &s = reference[i].stats;
         EXPECT_EQ(s.read_hits + s.write_hits, 0u) << "cell " << i;
         EXPECT_EQ(s.read_misses + s.write_misses, records.size())
             << "cell " << i;
@@ -491,7 +525,7 @@ TEST(SimdKernel, EnvKnobStrictParse)
     }
 }
 
-// FVC_SIMD drives the un-forced engine: off pins the legacy loop,
+// FVC_SIMD drives the un-forced engine: off pins lane-scalar,
 // on/auto dispatch the lane kernel at the best available ISA.
 TEST(SimdKernel, EnvKnobSelectsEngine)
 {
@@ -512,7 +546,7 @@ TEST(SimdKernel, EnvKnobSelectsEngine)
         return engine.resolvedKernel();
     };
 
-    EXPECT_EQ(resolved("off"), sim::ReplayKernel::Legacy);
+    EXPECT_EQ(resolved("off"), sim::ReplayKernel::LaneScalar);
 
     sim::ReplayKernel expect_lane = sim::ReplayKernel::LaneScalar;
     if (sim::laneIsaAvailable(sim::LaneIsa::Avx512))

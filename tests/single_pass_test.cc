@@ -1,8 +1,8 @@
 /**
  * @file
- * Parity suite for the single-pass sweep engine: the tag-only DMC
- * model, the MultiConfigSimulator, and the bounded TraceRepository
- * must be bit-for-bit interchangeable with the per-cell engine.
+ * Parity suite for the single-pass sweep engine: the
+ * MultiConfigSimulator and the bounded TraceRepository must be
+ * bit-for-bit interchangeable with the per-cell engine.
  */
 
 #include <cstdlib>
@@ -12,12 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_system.hh"
-#include "harness/parallel.hh"
-#include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/trace_repo.hh"
 #include "sim/batch_encoder.hh"
 #include "sim/multi_config.hh"
+#include "sim/simd_dispatch.hh"
 #include "util/random.hh"
 #include "util/strings.hh"
 #include "workload/profile.hh"
@@ -70,11 +69,12 @@ class ScopedEnv
     bool had_old_ = false;
 };
 
-// The tag-only model must reproduce every CacheStats counter of the
-// full data-carrying DmcSystem across geometries, associativities,
-// and all three replacement policies (Random exercises the shared
-// default RNG seed).
-TEST(SinglePass, TagOnlyCacheMatchesDmcSystem)
+// Bare-DMC lanes keep tags only, yet must reproduce every
+// CacheStats counter of the full data-carrying DmcSystem across
+// geometries, associativities, and all three replacement policies
+// (Random exercises the shared default RNG seed), on every lane
+// kernel this machine can run.
+TEST(SinglePass, BareDmcLanesMatchDmcSystem)
 {
     auto trace = harness::prepareTrace(
         workload::specIntProfile(workload::SpecInt::Gcc126), 40000,
@@ -88,26 +88,39 @@ TEST(SinglePass, TagOnlyCacheMatchesDmcSystem)
         cache::Replacement::Random};
 
     util::Rng rng(2024);
+    std::vector<cache::CacheConfig> configs;
     for (int i = 0; i < 16; ++i) {
         cache::CacheConfig config;
         config.size_bytes = sizes[rng.below(sizes.size())];
         config.line_bytes = line_sizes[rng.below(line_sizes.size())];
         config.assoc = assocs[rng.below(assocs.size())];
         config.replacement = policies[rng.below(policies.size())];
+        configs.push_back(config);
+    }
 
-        cache::DmcSystem reference(config);
-        harness::replayFast(trace, reference);
+    std::vector<sim::ReplayKernel> kernels = {
+        sim::ReplayKernel::LaneScalar};
+    if (sim::laneIsaAvailable(sim::LaneIsa::Avx2))
+        kernels.push_back(sim::ReplayKernel::LaneAvx2);
+    if (sim::laneIsaAvailable(sim::LaneIsa::Avx512))
+        kernels.push_back(sim::ReplayKernel::LaneAvx512);
 
-        sim::TagOnlyCache tag(config);
-        trace.columns.forEachRecord(
-            [&](const trace::MemRecord &rec) {
-                if (rec.isAccess())
-                    tag.access(rec.op, rec.addr);
-            });
-        tag.flush();
+    for (sim::ReplayKernel kernel : kernels) {
+        sim::MultiConfigSimulator engine(trace.columns,
+                                         trace.initial_image,
+                                         trace.frequent_values);
+        engine.forceKernel(kernel);
+        for (const auto &config : configs)
+            engine.addDmc(config);
+        engine.run();
 
-        expectStatsEqual(reference.stats(), tag.stats(),
-                         config.describe());
+        for (size_t i = 0; i < configs.size(); ++i) {
+            cache::DmcSystem reference(configs[i]);
+            harness::replayFast(trace, reference);
+            expectStatsEqual(reference.stats(), engine.stats(i),
+                             std::string(sim::replayKernelName(kernel)) +
+                                 " " + configs[i].describe());
+        }
     }
 }
 
@@ -219,79 +232,6 @@ TEST(SinglePass, MultiConfigMatchesPerCellOnAllProfiles)
         }
         EXPECT_EQ(engine.fvcStats(0), nullptr);
         ++seed;
-    }
-}
-
-// Grouped single-pass jobs must render identical tables no matter
-// how many pool workers execute them (FVC_JOBS 1 vs 8 in the bench
-// binaries maps to the pool width here).
-TEST(SinglePass, GroupedSweepIdenticalAcrossPoolWidths)
-{
-    const std::vector<workload::SpecInt> benches = {
-        workload::SpecInt::Go099, workload::SpecInt::Li130,
-        workload::SpecInt::Perl134};
-
-    auto run_grouped = [&](unsigned threads) {
-        harness::ThreadPool pool(threads);
-        harness::SweepRunner<std::vector<double>> sweep(pool);
-        for (auto bench : benches) {
-            auto profile = workload::specIntProfile(bench);
-            sweep.submit([profile] {
-                auto trace =
-                    harness::sharedTrace(profile, 20000, 31);
-                sim::MultiConfigSimulator engine(
-                    trace->columns, trace->initial_image,
-                    trace->frequent_values);
-                cache::CacheConfig dmc;
-                dmc.size_bytes = 8 * 1024;
-                dmc.line_bytes = 32;
-                engine.addDmc(dmc);
-                for (unsigned bits : {1u, 2u, 3u}) {
-                    core::FvcConfig fvc;
-                    fvc.entries = 256;
-                    fvc.line_bytes = 32;
-                    fvc.code_bits = bits;
-                    engine.addDmcFvc(dmc, fvc);
-                }
-                engine.run();
-                std::vector<double> out;
-                for (size_t c = 0; c < engine.cellCount(); ++c)
-                    out.push_back(engine.missRatePercent(c));
-                return out;
-            });
-        }
-        auto grouped = harness::expandGrouped(
-            harness::runDegraded(sweep, "pool-width parity"), 4);
-        std::vector<std::string> rendered;
-        for (const auto &rate : grouped) {
-            EXPECT_TRUE(rate.has_value());
-            rendered.push_back(rate ? util::fixedStr(*rate, 3)
-                                    : harness::failedCell());
-        }
-        return rendered;
-    };
-
-    EXPECT_EQ(run_grouped(1), run_grouped(8));
-}
-
-TEST(SinglePass, EnvSwitchParsing)
-{
-    {
-        ScopedEnv env("FVC_SINGLE_PASS", nullptr);
-        EXPECT_TRUE(sim::singlePassEnabled());
-    }
-    {
-        ScopedEnv env("FVC_SINGLE_PASS", "0");
-        EXPECT_FALSE(sim::singlePassEnabled());
-    }
-    {
-        ScopedEnv env("FVC_SINGLE_PASS", "1");
-        EXPECT_TRUE(sim::singlePassEnabled());
-    }
-    {
-        // Garbage is a warning, not a silent engine switch.
-        ScopedEnv env("FVC_SINGLE_PASS", "yes");
-        EXPECT_TRUE(sim::singlePassEnabled());
     }
 }
 

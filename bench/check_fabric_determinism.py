@@ -11,7 +11,7 @@ serially (FVC_WORKERS unset) and once per requested worker count
 (default 1, 2 and 4), each with its own FVC_CSV_DIR, then demands
 the stdout table and every exported CSV be byte-identical to the
 serial run. The fabric's whole contract is that forking, lease
-stealing and checkpoint merging are invisible in the output; any
+stealing and spill merging are invisible in the output; any
 drift — row ordering, a dropped cell, a float formatting change —
 fails this gate before it can land.
 
@@ -74,7 +74,7 @@ def run_fig13(binary, workers, accesses):
     path); otherwise the fabric forks that many workers. Each run
     gets a private FVC_CSV_DIR and no FVC_FABRIC_DIR, so fabric
     scratch stays ephemeral and runs cannot see each other's
-    checkpoints.
+    spills.
     """
     label = "serial" if workers is None else f"workers={workers}"
     env = dict(os.environ)

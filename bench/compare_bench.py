@@ -49,168 +49,54 @@ def load_times(path):
     return times
 
 
-def load_store_state(path):
-    """The fvc_trace_store context of a result file.
+# Run-context keys that must match for two result files to be
+# comparable. Each row: (context key, the value assumed for files
+# recorded before the key existed, the knob to name in the error).
+# Why each one refuses rather than warns:
+#   fvc_trace_store  - a warm trace store replaces generation with an
+#                      mmap and would fake a generation speedup;
+#                      older files predate the store ("disabled").
+#   fvc_simd_isa     - sweep wall clock moves with the dispatched
+#                      vector width; older files predate the lane
+#                      kernel, so the scalar loop ran ("scalar").
+#   fvc_workers      - a fabric run pays fork, lease and spill
+#                      overhead the in-process path never sees;
+#                      older files predate the fabric ("serial").
+#   fvc_result_cache - a warm result cache serves sweeps without
+#                      the engine and would fake any sweep speedup;
+#                      older files predate the cache ("off").
+#   fvc_daemon       - a daemon-served run pays socket framing and
+#                      batching latency; older files predate the
+#                      daemon ("off").
+CONTEXT_RULES = [
+    ("fvc_trace_store", "disabled", "FVC_TRACE_DIR / FVC_TRACE_STORE"),
+    ("fvc_simd_isa", "scalar", "FVC_SIMD"),
+    ("fvc_workers", "serial", "FVC_WORKERS"),
+    ("fvc_result_cache", "off", "FVC_RESULT_DIR / FVC_RESULT_CACHE"),
+    ("fvc_daemon", "off", "FVC_DAEMON"),
+]
 
-    Files recorded before the context existed count as "disabled"
-    (the store did not exist, so it cannot have served the run).
-    """
+
+def load_context(path):
+    """The run-context object of a result file ({} when absent)."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("context", {}).get("fvc_trace_store", "disabled")
+        return json.load(f).get("context", {})
 
 
-def load_simd_isa(path):
-    """The fvc_simd_isa context of a result file.
-
-    Files recorded before the context existed count as "scalar":
-    they predate the lane kernel, so the scalar fused loop is what
-    actually ran.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("context", {}).get("fvc_simd_isa", "scalar")
-
-
-def check_simd_isas(base_isa, new_isa):
-    """Error string when two runs' replay-kernel ISAs differ, else
-    None.
-
-    The sweep benchmarks' wall clock moves with the dispatched
-    vector width; diffing an avx512 run against a scalar one reports
-    the ISA delta as a perf change in every sweep benchmark. Only
-    like-for-like runs are comparable.
-    """
-    if base_isa == new_isa:
+def check_context(base_ctx, new_ctx, rule):
+    """Error string when two runs' contexts differ on @rule's key
+    (a missing key counts as the rule's default), else None. Only
+    like-for-like runs are comparable."""
+    key, default, knob = rule
+    base = str(base_ctx.get(key, default))
+    new = str(new_ctx.get(key, default))
+    if base == new:
         return None
     return (
-        f"simd ISA mismatch: baseline ran with "
-        f"fvc_simd_isa={base_isa!r} but new ran with {new_isa!r}; "
-        f"rerun both on the same machine with the same FVC_SIMD "
+        f"context mismatch: baseline ran with {key}={base!r} but "
+        f"new ran with {new!r}; rerun both with the same {knob} "
         f"setting"
     )
-
-
-def load_workers(path):
-    """The fvc_workers context of a result file.
-
-    Files recorded before the context existed count as "serial":
-    they predate the process fabric, so the in-process thread
-    backend is what actually ran.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return str(doc.get("context", {}).get("fvc_workers", "serial"))
-
-
-def check_worker_counts(base_workers, new_workers):
-    """Error string when two runs' fabric worker counts differ,
-    else None.
-
-    A fabric run forks FVC_WORKERS processes and pays fork, lease
-    and spill-file overhead the serial path never sees; diffing a
-    4-worker run against a serial one reports the backend switch as
-    a perf change. Only like-for-like runs are comparable.
-    """
-    if base_workers == new_workers:
-        return None
-    return (
-        f"fabric worker-count mismatch: baseline ran with "
-        f"fvc_workers={base_workers!r} but new ran with "
-        f"{new_workers!r}; rerun both with the same FVC_WORKERS "
-        f"setting"
-    )
-
-
-def load_result_cache_state(path):
-    """The fvc_result_cache context of a result file.
-
-    Files recorded before the context existed count as "off" (the
-    result cache did not exist, so it cannot have served the run).
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("context", {}).get("fvc_result_cache", "off")
-
-
-def check_result_cache_states(base_state, new_state):
-    """Error string when two runs' result-cache states cannot be
-    compared, else None.
-
-    A warm result cache serves sweep cells from disk without
-    touching the replay engine; comparing a warm run against a cold
-    or off one would credit (or blame) the cache for every sweep
-    benchmark. Only like-for-like runs are comparable.
-    """
-    if base_state == new_state:
-        return None
-    return (
-        f"result-cache state mismatch: baseline ran with "
-        f"fvc_result_cache={base_state!r} but new ran with "
-        f"{new_state!r}; rerun both with the same FVC_RESULT_DIR / "
-        f"FVC_RESULT_CACHE setup"
-    )
-
-
-def check_store_states(base_state, new_state):
-    """Error string when two runs' trace-store states cannot be
-    compared, else None.
-
-    A warm persistent trace store replaces synthetic generation with
-    an mmap; comparing a warm run against a cold or disabled one
-    would credit (or blame) the store for every generation-heavy
-    benchmark. Only like-for-like runs are comparable.
-    """
-    if base_state == new_state:
-        return None
-    return (
-        f"trace-store state mismatch: baseline ran with "
-        f"fvc_trace_store={base_state!r} but new ran with "
-        f"{new_state!r}; rerun both with the same FVC_TRACE_DIR / "
-        f"FVC_TRACE_STORE setup"
-    )
-
-
-def load_daemon_state(path):
-    """The fvc_daemon context of a result file.
-
-    Files recorded before the context existed count as "off" (the
-    sweep daemon did not exist, so it cannot have served the run).
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("context", {}).get("fvc_daemon", "off")
-
-
-def check_daemon_states(base_state, new_state):
-    """Error string when two runs' daemon serving modes differ,
-    else None.
-
-    A daemon-served sweep pays socket framing and batching-window
-    latency and shares the daemon's result repository; an in-process
-    run pays neither. Diffing a daemon-served run against an
-    in-process one reports the transport as a perf change in every
-    sweep benchmark. Only like-for-like runs are comparable.
-    """
-    if base_state == new_state:
-        return None
-    return (
-        f"daemon serving-mode mismatch: baseline ran with "
-        f"fvc_daemon={base_state!r} but new ran with "
-        f"{new_state!r}; rerun both with the same FVC_DAEMON "
-        f"setting (and daemon availability)"
-    )
-
-
-def load_governor(path):
-    """The fvc_cpu_governor context of a result file.
-
-    Files recorded before the context existed count as "unknown", as
-    do hosts without cpufreq (containers, some VMs).
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("context", {}).get("fvc_cpu_governor", "unknown")
 
 
 def check_governors(base_gov, new_gov):
@@ -219,9 +105,9 @@ def check_governors(base_gov, new_gov):
 
     A governor switch (say performance -> powersave) moves the clock
     under every benchmark, so a diff across one mostly measures the
-    frequency policy. Unlike the refusal checks above this only
-    warns: "unknown" is common (pre-context files, hosts without
-    cpufreq) and refusing every such pair would block legitimate
+    frequency policy. Unlike CONTEXT_RULES this only warns:
+    "unknown" is common (pre-context files, hosts without cpufreq)
+    and refusing every such pair would block legitimate
     comparisons.
     """
     if base_gov == new_gov or "unknown" in (base_gov, new_gov):
@@ -359,46 +245,32 @@ def self_test():
         DEFAULT_HOT, 10.0)
     assert failures == [], failures
 
-    # 6. Mismatched trace-store states refuse the comparison;
-    #    matching states (including both-missing) are fine.
-    assert check_store_states("warm", "cold") is not None
-    assert check_store_states("disabled", "warm") is not None
-    assert check_store_states("warm", "warm") is None
-    assert check_store_states("disabled", "disabled") is None
-
-    # 7. Mismatched replay-kernel ISAs refuse the comparison; equal
-    #    ISAs (including both predating the context) are fine.
-    assert check_simd_isas("avx512", "scalar") is not None
-    assert check_simd_isas("avx2", "avx512") is not None
-    assert check_simd_isas("off", "avx2") is not None
-    assert check_simd_isas("avx512", "avx512") is None
-    assert check_simd_isas("scalar", "scalar") is None
-
-    # 8. Mismatched fabric worker counts refuse the comparison;
-    #    equal counts (including both predating the context) are
-    #    fine.
-    assert check_worker_counts("4", "serial") is not None
-    assert check_worker_counts("serial", "2") is not None
-    assert check_worker_counts("2", "4") is not None
-    assert check_worker_counts("4", "4") is None
-    assert check_worker_counts("serial", "serial") is None
-
-    # 9. Mismatched result-cache states refuse the comparison;
-    #    matching states (including both predating the context) are
-    #    fine.
-    assert check_result_cache_states("warm", "cold") is not None
-    assert check_result_cache_states("off", "warm") is not None
-    assert check_result_cache_states("cold", "off") is not None
-    assert check_result_cache_states("warm", "warm") is None
-    assert check_result_cache_states("off", "off") is None
-
-    # 9b. Mismatched daemon serving modes refuse the comparison;
-    #     matching modes (including both predating the context) are
-    #     fine.
-    assert check_daemon_states("on", "off") is not None
-    assert check_daemon_states("off", "on") is not None
-    assert check_daemon_states("on", "on") is None
-    assert check_daemon_states("off", "off") is None
+    # 6-9b. Every context rule refuses a mismatch and names its
+    #       key and knob; equal values pass, and a file recorded
+    #       before the key existed counts as the rule's default.
+    mismatches = {
+        "fvc_trace_store": [("warm", "cold"), ("disabled", "warm")],
+        "fvc_simd_isa": [("avx512", "scalar"), ("off", "avx2")],
+        "fvc_workers": [("4", "serial"), ("2", "4")],
+        "fvc_result_cache": [("warm", "cold"), ("cold", "off")],
+        "fvc_daemon": [("on", "off"), ("off", "on")],
+    }
+    assert set(mismatches) == {rule[0] for rule in CONTEXT_RULES}
+    for rule in CONTEXT_RULES:
+        key, default, knob = rule
+        for base_value, new_value in mismatches[key]:
+            err = check_context({key: base_value}, {key: new_value},
+                                rule)
+            assert err and key in err and knob in err, err
+            assert check_context({key: new_value},
+                                 {key: new_value}, rule) is None
+        other = mismatches[key][0][0]
+        assert check_context({}, {}, rule) is None
+        assert check_context({}, {key: default}, rule) is None
+        assert check_context({}, {key: other}, rule) is not None
+    workers = CONTEXT_RULES[2]
+    assert check_context({"fvc_workers": 4}, {"fvc_workers": "4"},
+                         workers) is None
 
     # 10. Governor mismatch warns only when both sides are known;
     #     an unknown side (pre-context file, host without cpufreq)
@@ -452,34 +324,16 @@ def main(argv):
                      "(or use --self-test)")
 
     hot = args.hot if args.hot is not None else DEFAULT_HOT
-    mismatch = check_store_states(load_store_state(args.baseline),
-                                  load_store_state(args.new))
-    if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return 1
-    mismatch = check_simd_isas(load_simd_isa(args.baseline),
-                               load_simd_isa(args.new))
-    if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return 1
-    mismatch = check_worker_counts(load_workers(args.baseline),
-                                   load_workers(args.new))
-    if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return 1
-    mismatch = check_result_cache_states(
-        load_result_cache_state(args.baseline),
-        load_result_cache_state(args.new))
-    if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return 1
-    mismatch = check_daemon_states(load_daemon_state(args.baseline),
-                                   load_daemon_state(args.new))
-    if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return 1
-    warning = check_governors(load_governor(args.baseline),
-                              load_governor(args.new))
+    base_ctx = load_context(args.baseline)
+    new_ctx = load_context(args.new)
+    for rule in CONTEXT_RULES:
+        mismatch = check_context(base_ctx, new_ctx, rule)
+        if mismatch:
+            print(f"error: {mismatch}", file=sys.stderr)
+            return 1
+    warning = check_governors(
+        base_ctx.get("fvc_cpu_governor", "unknown"),
+        new_ctx.get("fvc_cpu_governor", "unknown"))
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     baseline = load_times(args.baseline)

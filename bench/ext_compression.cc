@@ -6,7 +6,7 @@
  * and a compressed data cache where two frequent-valued lines
  * share one physical slot.
  *
- * The DMC and DMC+FVC cells resolve through resultcache::runCells;
+ * The DMC and DMC+FVC cells resolve through daemon::runCells;
  * the CompressedDataCache has no result-store codec (its extra
  * compression counters don't fit the CellStats record), so it
  * replays directly against the shared trace.
@@ -15,11 +15,11 @@
 #include <cstdio>
 
 #include "core/compressed_cache.hh"
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/trace_repo.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -65,7 +65,7 @@ main()
         with.has_fvc = true;
         specs.push_back(with);
     }
-    auto results = resultcache::runCells(specs, "compression sweep");
+    auto results = daemon::runCells(specs, "compression sweep");
 
     size_t job = 0;
     for (auto bench : benches) {

@@ -7,16 +7,16 @@
  * DMC, per benchmark.
  *
  * Three cells per benchmark — base DMC, DMC+FVC, doubled DMC —
- * resolved through resultcache::runCells; the energy model runs on
+ * resolved through daemon::runCells; the energy model runs on
  * the returned counters.
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "timing/energy.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -68,7 +68,7 @@ main()
         doubled.dmc = big;
         specs.push_back(doubled);
     }
-    auto results = resultcache::runCells(specs, "energy sweep");
+    auto results = daemon::runCells(specs, "energy sweep");
 
     size_t job = 0;
     for (auto bench : benches) {

@@ -6,16 +6,16 @@
  * gap with the modelled FP workloads.
  *
  * Two cells per FP benchmark — bare DMC and DMC+FVC — resolved
- * through resultcache::runCells over each benchmark's shared trace.
+ * through daemon::runCells over each benchmark's shared trace.
  */
 
 #include <algorithm>
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -60,7 +60,7 @@ main()
         with.has_fvc = true;
         specs.push_back(with);
     }
-    auto results = resultcache::runCells(specs, "SPECfp95 sweep");
+    auto results = daemon::runCells(specs, "SPECfp95 sweep");
 
     std::vector<std::optional<Cell>> cells;
     for (size_t i = 0; i < results.size(); i += 2) {

@@ -6,16 +6,16 @@
  * own associativity at fixed entry count.
  *
  * One cell per (benchmark, FVC associativity) plus a bare-DMC cell
- * per benchmark, resolved through resultcache::runCells over the
+ * per benchmark, resolved through daemon::runCells over the
  * shared per-benchmark trace.
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "timing/access_time.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -58,8 +58,7 @@ main()
             specs.push_back(cell);
         }
     }
-    auto results =
-        resultcache::runCells(specs, "FVC associativity sweep");
+    auto results = daemon::runCells(specs, "FVC associativity sweep");
     std::vector<std::optional<double>> rates;
     for (const auto &slot : results) {
         rates.push_back(

@@ -6,7 +6,7 @@
  * window (and can periodically retrain).
  *
  * The bare-DMC and offline-FVC cells resolve through
- * resultcache::runCells; the adaptive systems carry extra training
+ * daemon::runCells; the adaptive systems carry extra training
  * state with no result-store codec, so they replay directly
  * against the shared trace.
  */
@@ -14,11 +14,11 @@
 #include <cstdio>
 
 #include "core/adaptive_system.hh"
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/trace_repo.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -64,8 +64,7 @@ main()
         offline.has_fvc = true;
         specs.push_back(offline);
     }
-    auto results =
-        resultcache::runCells(specs, "online profiling sweep");
+    auto results = daemon::runCells(specs, "online profiling sweep");
 
     size_t job = 0;
     for (auto bench : benches) {

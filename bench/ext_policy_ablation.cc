@@ -6,15 +6,15 @@
  * "second situation").
  *
  * Five cells per benchmark — the bare DMC and the four policy
- * combinations — resolved through resultcache::runCells.
+ * combinations — resolved through daemon::runCells.
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -78,8 +78,7 @@ main()
             specs.push_back(cell);
         }
     }
-    auto results =
-        resultcache::runCells(specs, "policy ablation sweep");
+    auto results = daemon::runCells(specs, "policy ablation sweep");
 
     size_t job = 0;
     for (auto bench : benches) {

@@ -6,15 +6,15 @@
  * conflict misses outright, which even a hit in a fast L2 cannot.)
  *
  * Three cells per benchmark — bare L1, L1+FVC, L1+L2 — resolved
- * through resultcache::runCells.
+ * through daemon::runCells.
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -68,7 +68,7 @@ main()
         with_l2.has_l2 = true;
         specs.push_back(with_l2);
     }
-    auto results = resultcache::runCells(specs, "two-level sweep");
+    auto results = daemon::runCells(specs, "two-level sweep");
 
     size_t job = 0;
     for (auto bench : benches) {

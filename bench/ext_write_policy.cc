@@ -6,15 +6,15 @@
  * this bench measures that premise on the modelled workloads.
  *
  * Two cells per benchmark — write-back and write-through — resolved
- * through resultcache::runCells.
+ * through daemon::runCells.
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -50,7 +50,7 @@ main()
         wt.dmc.write_policy = cache::WritePolicy::WriteThrough;
         specs.push_back(wt);
     }
-    auto results = resultcache::runCells(specs, "write policy sweep");
+    auto results = daemon::runCells(specs, "write policy sweep");
 
     size_t job = 0;
     for (auto bench : benches) {

@@ -6,16 +6,16 @@
  * (3-bit codes).
  *
  * One cell per (benchmark, FVC size) plus one bare-DMC cell per
- * benchmark, resolved through resultcache::runCells (warm store
+ * benchmark, resolved through daemon::runCells (warm store
  * hits skip the engine; novel cells share each benchmark's trace).
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -67,7 +67,7 @@ main()
             specs.push_back(cell);
         }
     }
-    auto results = resultcache::runCells(specs, "Figure 10 sweep");
+    auto results = daemon::runCells(specs, "Figure 10 sweep");
     std::vector<std::optional<double>> rates;
     for (const auto &slot : results) {
         rates.push_back(

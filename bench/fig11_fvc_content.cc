@@ -9,10 +9,10 @@
 #include <cstdio>
 
 #include "core/size_model.hh"
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -55,7 +55,7 @@ main()
         cell.has_fvc = true;
         specs.push_back(cell);
     }
-    auto results = resultcache::runCells(specs, "Figure 11 sweep");
+    auto results = daemon::runCells(specs, "Figure 11 sweep");
 
     size_t job = 0;
     for (auto bench : workload::fvSpecInt()) {

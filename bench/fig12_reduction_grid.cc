@@ -6,7 +6,7 @@
  * the FVC's.
  *
  * All (benchmark x DMC config x FVC width) cells resolve through
- * resultcache::runCells: warm fingerprints come from the store,
+ * daemon::runCells: warm fingerprints come from the store,
  * novel cells share each benchmark's trace in one grouped replay.
  * Results print in submission order, so the tables are identical
  * for any FVC_JOBS.
@@ -14,10 +14,10 @@
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "timing/access_time.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -77,7 +77,7 @@ main()
             }
         }
     }
-    auto results = resultcache::runCells(specs, "Figure 12 grid");
+    auto results = daemon::runCells(specs, "Figure 12 grid");
 
     std::vector<std::optional<Cell>> cells;
     for (size_t i = 0; i < results.size(); i += 4) {

@@ -9,16 +9,16 @@
  * capacity-dominated ones (go, gcc, vortex) the benefit survives.
  *
  * Two cells per (benchmark, associativity) pair — bare DMC and
- * DMC+FVC — resolved through resultcache::runCells against each
+ * DMC+FVC — resolved through daemon::runCells against each
  * benchmark's shared trace.
  */
 
 #include <cstdio>
 
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -63,7 +63,7 @@ main()
             specs.push_back(with);
         }
     }
-    auto results = resultcache::runCells(specs, "Figure 14 sweep");
+    auto results = daemon::runCells(specs, "Figure 14 sweep");
 
     std::vector<std::optional<Cell>> cells;
     for (size_t i = 0; i < results.size(); i += 2) {

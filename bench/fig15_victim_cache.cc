@@ -6,7 +6,7 @@
  * (~9ns) vs a 512-entry FVC (~6ns).
  *
  * Three cells per (pairing, benchmark) — bare DMC, DMC+VC, DMC+FVC
- * — resolved through resultcache::runCells. The bare-DMC cell is
+ * — resolved through daemon::runCells. The bare-DMC cell is
  * identical across both pairings, so the repository simulates it
  * once and serves the duplicate from the in-process dedup map.
  */
@@ -14,10 +14,10 @@
 #include <cstdio>
 
 #include "core/size_model.hh"
+#include "daemon/client.hh"
 #include "fabric/cell.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "resultcache/repository.hh"
 #include "timing/access_time.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -133,7 +133,7 @@ main()
     std::vector<fabric::CellSpec> specs;
     submitComparison(specs, 16, 128, accesses);
     submitComparison(specs, 4, 512, accesses);
-    auto results = resultcache::runCells(specs, "Figure 15 sweep");
+    auto results = daemon::runCells(specs, "Figure 15 sweep");
 
     std::vector<std::optional<Cell>> cells;
     for (size_t i = 0; i < results.size(); i += 3) {

@@ -22,10 +22,16 @@ Usage:
   golden_gate.py --build-dir BUILD --golden GOLDEN_DIR
   golden_gate.py --self-test
 
+Every bench runs hermetically: the caller's environment minus every
+FVC_* knob, plus only the knobs the gate pins (trace length,
+FVC_STRICT=1, FVC_DAEMON=off). An exported FVC_FAULT_SPEC or
+FVC_DAEMON cannot fail the gate for reasons unrelated to the code.
+
 --self-test exercises the comparison logic in memory (equal files
 pass, a sub-tolerance float wiggle passes, a beyond-tolerance
 perturbation fails, an integer perturbation fails, a header drift
-fails) and is wired into tier-1 as golden_gate_selftest.
+fails, the bench environment drops injected knobs) and is wired
+into tier-1 as golden_gate_selftest.
 """
 
 import argparse
@@ -35,17 +41,6 @@ import sys
 import tempfile
 
 REL_TOL = 1e-9
-
-# Env knobs that change trace generation or replay wiring; scrubbed
-# so the gate always compares default-configuration runs (matches
-# refresh_golden.sh).
-SCRUBBED_ENV = [
-    "FVC_TRACE_DIR",
-    "FVC_TRACE_STORE",
-    "FVC_GEN_SHARDS",
-    "FVC_JOBS",
-    "FVC_TRACE_EXPECT_WARM",
-]
 
 BENCHES = [
     "fig01_int_locality",
@@ -163,6 +158,20 @@ def parse_manifest(text):
     return header, accesses, csvs
 
 
+def gate_env(accesses, base):
+    """The environment every bench runs under: @base minus every
+    FVC_* knob, plus only the knobs the gate pins (refresh_golden.sh
+    builds the same one), so the gate always compares
+    default-configuration, in-process runs."""
+    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
+    env.update({
+        "FVC_TRACE_ACCESSES": accesses,
+        "FVC_STRICT": "1",
+        "FVC_DAEMON": "off",
+    })
+    return env
+
+
 def run_gate(build_dir, golden_dir):
     manifest_path = os.path.join(golden_dir, "MANIFEST")
     if not os.path.isfile(manifest_path):
@@ -176,11 +185,7 @@ def run_gate(build_dir, golden_dir):
               "or no csv entries)", file=sys.stderr)
         return 1
 
-    env = dict(os.environ)
-    for key in SCRUBBED_ENV:
-        env.pop(key, None)
-    env["FVC_TRACE_ACCESSES"] = accesses
-    env["FVC_STRICT"] = "1"
+    env = gate_env(accesses, os.environ)
 
     # Header revalidation: generator version + profile fingerprints.
     manifest_bin = os.path.join(build_dir, "bench",
@@ -305,6 +310,17 @@ def self_test():
     assert header == ["generator_version 2", "accesses 40000",
                       "profile 126.gcc 00000000deadbeef"]
     assert accesses == "40000" and csvs == ["a.csv", "b.csv"]
+
+    # 9. The bench environment is hermetic: injected FVC_* knobs
+    #    are dropped, the pinned ones set, everything else kept.
+    env = gate_env("40000", {"FVC_FAULT_SPEC": "sweep_job=0",
+                             "FVC_DAEMON": "on", "FVC_JOBS": "3",
+                             "PATH": "/bin", "LANG": "C"})
+    assert "FVC_FAULT_SPEC" not in env and "FVC_JOBS" not in env
+    assert env["FVC_DAEMON"] == "off", env
+    assert env["FVC_TRACE_ACCESSES"] == "40000", env
+    assert env["FVC_STRICT"] == "1", env
+    assert env["PATH"] == "/bin" and env["LANG"] == "C", env
 
     print("golden_gate: self-test passed")
     return 0

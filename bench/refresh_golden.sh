@@ -57,18 +57,22 @@ golden_dir="$repo_root/golden"
 mkdir -p "$golden_dir"
 rm -f "$golden_dir"/*.csv "$golden_dir/MANIFEST"
 
-# Scrub env knobs that change trace generation or replay wiring so
-# golden data is always produced under the default configuration
-# (the gate scrubs the same set before comparing).
-unset FVC_TRACE_DIR FVC_TRACE_STORE FVC_GEN_SHARDS \
-    FVC_JOBS FVC_TRACE_EXPECT_WARM || true
+# Start from an environment with no FVC_* knob at all, then pin only
+# what golden_gate.py pins too, so golden data is always produced by
+# default-configuration, in-process runs.
+accesses="${FVC_GOLDEN_ACCESSES:-40000}"
+for var in $(env | sed -n 's/^\(FVC_[A-Za-z0-9_]*\)=.*/\1/p'); do
+    unset "$var"
+done
 
-FVC_TRACE_ACCESSES="${FVC_GOLDEN_ACCESSES:-40000}"
+FVC_TRACE_ACCESSES=$accesses
 export FVC_TRACE_ACCESSES
 FVC_CSV_DIR="$golden_dir"
 export FVC_CSV_DIR
 FVC_STRICT=1
 export FVC_STRICT
+FVC_DAEMON=off
+export FVC_DAEMON
 
 for bench in $benches; do
     echo "golden: $bench (accesses=$FVC_TRACE_ACCESSES)"

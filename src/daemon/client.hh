@@ -105,7 +105,8 @@ class Client
 /**
  * Serve @p cells per FVC_DAEMON (see the file comment), falling
  * back to resultcache::runCells whenever the daemon path is off or
- * unavailable. This is the entry point daemon-aware benches call.
+ * unavailable. Every cacheable bench calls this entry point, so
+ * FVC_DAEMON alone decides in-process or served.
  */
 std::vector<std::optional<fabric::CellStats>>
 runCells(const std::vector<fabric::CellSpec> &cells,

@@ -27,7 +27,7 @@
  *
  * Result frames carry the submitting client's cell index, the
  * cell's durable fingerprint, and the 17-word encodeCellStats
- * payload — the exact serialization the fabric checkpoint and the
+ * payload — the exact serialization the fabric spills and the
  * persistent result store use, so the daemon cannot disagree with
  * either about what a result *is*. A FAILED cell (simulation error
  * after retries) is a Result frame with status 1 and zeroed stats,

@@ -89,7 +89,7 @@ cellFingerprint(const CellSpec &cell)
         h = mix64(h ^ cell.policy.occupancy_sample_interval);
     }
     // New cell kinds mix only when active, so fingerprints of
-    // plain DMC / DMC+FVC cells (already on disk in checkpoints)
+    // plain DMC / DMC+FVC cells (already on disk in result stores)
     // are unchanged by their introduction.
     if (cell.victim_entries)
         h = mix64(h ^ (0x5643ull << 32) ^ cell.victim_entries);
@@ -101,15 +101,6 @@ cellFingerprint(const CellSpec &cell)
         h = mix64(h ^ static_cast<uint64_t>(cell.l2.replacement));
         h = mix64(h ^ static_cast<uint64_t>(cell.l2.write_policy));
     }
-    return h;
-}
-
-uint64_t
-sweepHash(const std::vector<CellSpec> &cells)
-{
-    uint64_t h = mix64(cells.size());
-    for (const auto &cell : cells)
-        h = mix64(h ^ cellFingerprint(cell));
     return h;
 }
 

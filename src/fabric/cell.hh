@@ -5,7 +5,7 @@
  * The thread-backend SweepRunner takes closures; a crash-tolerant
  * process backend cannot, because a cell must be re-runnable by a
  * different process (after a worker dies) and recognizable across
- * whole coordinator runs (checkpoint resume). A CellSpec is
+ * whole runs (the result store). A CellSpec is
  * therefore plain data — profile identity, trace parameters, DMC
  * geometry, optional FVC geometry, protocol policy — and its
  * fingerprint is the same content-hash discipline the trace store
@@ -66,7 +66,7 @@ workload::BenchmarkProfile cellProfile(const CellSpec &cell);
  * Content fingerprint of one cell: profile content hash + trace
  * parameters (including the active FVC_GEN_SHARDS and generator
  * version, like TraceKey) + geometry + policy. Equal fingerprints
- * mean byte-identical simulation results, so a checkpoint record
+ * mean byte-identical simulation results, so a result record
  * keyed by this hash is safe to reuse across runs and machines.
  */
 uint64_t cellFingerprint(const CellSpec &cell);
@@ -74,10 +74,6 @@ uint64_t cellFingerprint(const CellSpec &cell);
 /** The cell's trace-locality key (what TraceRepository keys the
  * trace by): equal values share a mapped trace. */
 uint64_t cellTraceHash(const CellSpec &cell);
-
-/** Order-sensitive hash of a whole sweep's fingerprints; names the
- * checkpoint file this sweep resumes from. */
-uint64_t sweepHash(const std::vector<CellSpec> &cells);
 
 /**
  * Simulate one cell to completion and return its counters. Pure:

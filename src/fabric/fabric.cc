@@ -8,17 +8,17 @@
  * SIGSTOPped process), respawn replacements while work remains, and
  * validate at the completion barrier that every Done cell is backed
  * by a CRC-valid record, demoting the ones that are not. All result
- * truth lives in the spill records and the checkpoint; the queue is
- * only scheduling state and is discarded at the end.
+ * truth lives in the spill records; the queue is only scheduling
+ * state and is discarded at the end.
  */
 
 #include "fabric/fabric.hh"
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <unordered_map>
 
 #include <dirent.h>
@@ -37,21 +37,22 @@ namespace fvc::fabric {
 
 namespace {
 
-std::string
-hex64(uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 bool
 pidAlive(pid_t pid)
 {
     if (pid <= 0)
         return false;
-    return ::kill(pid, 0) == 0 || errno == EPERM;
+    if (::kill(pid, 0) != 0 && errno != EPERM)
+        return false;
+    // A zombie still answers kill(): it has exited, but nobody has
+    // reaped it yet (a killed run's orphaned workers under an init
+    // that reaps lazily). State is the field after "(comm)".
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string text;
+    std::getline(stat, text);
+    const size_t paren = text.rfind(')');
+    return paren == std::string::npos || paren + 2 >= text.size() ||
+           text[paren + 2] != 'Z';
 }
 
 void
@@ -85,12 +86,6 @@ parsePid(const std::string &text)
     if (!v || *v == 0 || *v > 0x7fffffffull)
         return std::nullopt;
     return static_cast<pid_t>(*v);
-}
-
-std::string
-checkpointPath(const std::string &dir, uint64_t sweep_hash)
-{
-    return dir + "/checkpoint-" + hex64(sweep_hash) + ".fvcr";
 }
 
 /** A coordinator-side handle on one forked worker. */
@@ -140,6 +135,49 @@ harvestOne(const WorkerProc &proc,
             records.emplace(record.fingerprint, record);
         return;
     }
+}
+
+/** A fabric file whose owning pid is gone. */
+struct DeadFile
+{
+    std::string path;
+    /** A worker spill ("w<id>-<pid>.part|.spill"), else a
+     * coordinator queue ("queue-<pid>.fvcq"). */
+    bool spill = false;
+};
+
+/** The queue and spill files in @p dir owned by dead pids. */
+std::vector<DeadFile>
+deadPidFiles(const std::string &dir)
+{
+    std::vector<DeadFile> out;
+    DIR *d = ::opendir(dir.c_str());
+    if (!d)
+        return out;
+    while (struct dirent *entry = ::readdir(d)) {
+        std::string name = entry->d_name;
+        std::optional<pid_t> pid;
+        bool spill = false;
+        if (name.rfind("queue-", 0) == 0 && name.size() > 11 &&
+            name.compare(name.size() - 5, 5, ".fvcq") == 0) {
+            pid = parsePid(name.substr(6, name.size() - 11));
+        } else if (name.size() > 2 && name[0] == 'w') {
+            size_t dot = name.rfind('.');
+            size_t dash = name.rfind('-');
+            if (dot == std::string::npos ||
+                dash == std::string::npos || dash > dot)
+                continue;
+            std::string ext = name.substr(dot);
+            if (ext != ".part" && ext != ".spill")
+                continue;
+            pid = parsePid(name.substr(dash + 1, dot - dash - 1));
+            spill = true;
+        }
+        if (pid && !pidAlive(*pid))
+            out.push_back({dir + "/" + name, spill});
+    }
+    ::closedir(d);
+    return out;
 }
 
 } // namespace
@@ -196,69 +234,30 @@ fabricDir()
 void
 cleanupStaleFabricFiles(const std::string &dir)
 {
-    DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        return;
-    std::vector<std::string> stale_spills;
-    std::vector<std::string> stale_other;
-    while (struct dirent *entry = ::readdir(d)) {
-        std::string name = entry->d_name;
-        // queue-<pid>.fvcq
-        if (name.rfind("queue-", 0) == 0 &&
-            name.size() > 11 &&
-            name.compare(name.size() - 5, 5, ".fvcq") == 0) {
-            auto pid = parsePid(name.substr(6, name.size() - 11));
-            if (pid && !pidAlive(*pid))
-                stale_other.push_back(name);
-            continue;
-        }
-        // checkpoint-<hash>.fvcr.tmp.<pid> (crashed mid-publish)
-        size_t tmp_at = name.find(".fvcr.tmp.");
-        if (tmp_at != std::string::npos) {
-            auto pid = parsePid(name.substr(tmp_at + 10));
-            if (pid && !pidAlive(*pid))
-                stale_other.push_back(name);
-            continue;
-        }
-        // w<id>-<pid>.part / w<id>-<pid>.spill
-        if (name.size() > 2 && name[0] == 'w') {
-            size_t dot = name.rfind('.');
-            size_t dash = name.rfind('-');
-            if (dot == std::string::npos ||
-                dash == std::string::npos || dash > dot)
-                continue;
-            std::string ext = name.substr(dot);
-            if (ext != ".part" && ext != ".spill")
-                continue;
-            auto pid =
-                parsePid(name.substr(dash + 1, dot - dash - 1));
-            if (pid && !pidAlive(*pid))
-                stale_spills.push_back(name);
-            continue;
-        }
+    for (const auto &file : deadPidFiles(dir)) {
+        if (!file.spill)
+            ::unlink(file.path.c_str());
     }
-    ::closedir(d);
+}
 
-    // A dead worker's records are resume state, not garbage:
-    // consolidate them into their sweep's checkpoint first.
-    for (const auto &name : stale_spills) {
-        std::string path = dir + "/" + name;
-        auto contents = readSpillFile(path);
-        if (contents.ok() && contents.value().header &&
-            !contents.value().records.empty()) {
-            uint64_t sweep = contents.value().header->sweep_hash;
-            if (auto err = mergeIntoCheckpoint(
-                    checkpointPath(dir, sweep),
-                    contents.value().records)) {
-                fvc_warn("fabric: stale spill harvest: ",
-                         err->describe());
-                continue; // keep the spill; records still safe
-            }
+DeadSpills
+harvestDeadSpills(const std::string &dir)
+{
+    DeadSpills out;
+    for (const auto &file : deadPidFiles(dir)) {
+        if (!file.spill)
+            continue;
+        // An unreadable spill (empty, or removed by a concurrent
+        // harvester) holds nothing to recover; it is still listed
+        // so the caller removes it.
+        if (auto contents = readSpillFile(file.path); contents.ok()) {
+            const auto &records = contents.value().records;
+            out.records.insert(out.records.end(), records.begin(),
+                               records.end());
         }
-        ::unlink(path.c_str());
+        out.paths.push_back(file.path);
     }
-    for (const auto &name : stale_other)
-        ::unlink((dir + "/" + name).c_str());
+    return out;
 }
 
 std::vector<harness::JobFailure>
@@ -318,26 +317,13 @@ FabricRunner::run()
     cleanupStaleFabricFiles(dir);
 
     std::vector<uint64_t> fps(n);
-    for (size_t i = 0; i < n; ++i)
-        fps[i] = cellFingerprint(cells[i]);
-    const uint64_t sweep = sweepHash(cells);
-    const std::string ckpt = checkpointPath(dir, sweep);
-
-    // Restore the checkpoint: cells with a valid record start Done.
-    std::unordered_map<uint64_t, SpillRecord> records;
-    if (auto existing = readSpillFile(ckpt); existing.ok()) {
-        out.rejected_frames += existing.value().rejected_frames;
-        for (const auto &record : existing.value().records)
-            records.emplace(record.fingerprint, record);
-    }
     std::vector<CellSeed> seeds(n);
     for (size_t i = 0; i < n; ++i) {
+        fps[i] = cellFingerprint(cells[i]);
         seeds[i].profile_hash = cellTraceHash(cells[i]);
         seeds[i].fingerprint = fps[i];
-        seeds[i].restored = records.count(fps[i]) > 0;
-        if (seeds[i].restored)
-            ++out.checkpoint_hits;
     }
+    std::unordered_map<uint64_t, SpillRecord> records;
 
     const std::string queue_path =
         dir + "/queue-" + std::to_string(::getpid()) + ".fvcq";
@@ -355,7 +341,6 @@ FabricRunner::run()
     }
     SharedQueue queue = std::move(created.value());
 
-    size_t unfinished = n - out.checkpoint_hits;
     std::vector<WorkerProc> procs;
     unsigned next_id = 0;
     size_t spawns = 0;
@@ -374,8 +359,7 @@ FabricRunner::run()
         if (child == 0) {
             // Worker child: never return into the coordinator's
             // logic (or gtest's atexit handlers) — _exit directly.
-            ::_exit(detail::runWorkerProcess(queue, cells, id, dir,
-                                             sweep));
+            ::_exit(detail::runWorkerProcess(queue, cells, id, dir));
         }
         WorkerProc proc;
         proc.pid = child;
@@ -389,9 +373,7 @@ FabricRunner::run()
         return true;
     };
 
-    const unsigned initial = static_cast<unsigned>(
-        std::min<size_t>(workers, unfinished));
-    for (unsigned i = 0; i < initial; ++i)
+    for (unsigned i = 0; i < std::min<size_t>(workers, n); ++i)
         spawnWorker();
 
     const uint64_t poll_ms =
@@ -406,7 +388,7 @@ FabricRunner::run()
         }
     };
 
-    while (initial > 0) {
+    for (;;) {
         reap();
 
         // Reclaim expired leases; SIGKILL a live owner first (a
@@ -427,15 +409,6 @@ FabricRunner::run()
             }
             if (queue.reclaimExpired(i, now))
                 ++out.reclaims;
-        }
-
-        if (options_.stop_after > 0 &&
-            queue.doneCount() >= options_.stop_after) {
-            // Simulated interruption: die abruptly, like a killed
-            // sweep would, so resume sees exactly crash state.
-            out.interrupted = true;
-            queue.requestShutdown();
-            break;
         }
 
         if (queue.complete()) {
@@ -487,21 +460,19 @@ FabricRunner::run()
         sleepMs(poll_ms);
     }
 
-    // Drain: on a normal finish give workers a moment to publish
-    // and exit; on an interrupt (or for wedged stragglers, e.g. a
-    // SIGSTOPped worker whose cell was stolen) SIGKILL.
+    // Drain: give workers a moment to publish and exit; SIGKILL
+    // wedged stragglers (e.g. a SIGSTOPped worker whose cell was
+    // stolen).
     queue.requestShutdown();
-    if (!out.interrupted) {
-        uint64_t grace_end = monotonicMs() + 500;
-        for (;;) {
-            reap();
-            bool any = false;
-            for (const auto &proc : procs)
-                any = any || proc.alive;
-            if (!any || monotonicMs() >= grace_end)
-                break;
-            sleepMs(2);
-        }
+    const uint64_t grace_end = monotonicMs() + 500;
+    for (;;) {
+        reap();
+        bool any = false;
+        for (const auto &proc : procs)
+            any = any || proc.alive;
+        if (!any || monotonicMs() >= grace_end)
+            break;
+        sleepMs(2);
     }
     for (auto &proc : procs) {
         if (!proc.alive)
@@ -517,8 +488,7 @@ FabricRunner::run()
         harvestOne(proc, records, out);
 
     // Assemble the outcome: a valid record is the truth for its
-    // cell; a cell without one either exhausted its budget (FAILED)
-    // or was cut off by the interrupt.
+    // cell; a cell without one exhausted its budget (FAILED).
     for (size_t i = 0; i < n; ++i) {
         auto it = records.find(fps[i]);
         if (it != records.end()) {
@@ -527,14 +497,10 @@ FabricRunner::run()
             out.meta[i].run_id = record.run_id;
             out.meta[i].worker_pid = record.worker_pid;
             out.meta[i].attempts = record.attempts;
-            out.meta[i].from_checkpoint =
-                record.run_id != out.run_id;
             if (record.run_id == out.run_id)
                 ++out.simulated;
             continue;
         }
-        if (out.interrupted)
-            continue;
         SlotCtl ctl = queue.load(i);
         out.failures.push_back(
             {i, ctl.attempts,
@@ -544,20 +510,7 @@ FabricRunner::run()
                  "was rejected)"});
     }
 
-    // Publish the consolidated checkpoint (submission order) and
-    // retire this run's transient files.
-    std::vector<SpillRecord> ordered;
-    ordered.reserve(records.size());
-    for (size_t i = 0; i < n; ++i) {
-        auto it = records.find(fps[i]);
-        if (it != records.end())
-            ordered.push_back(it->second);
-    }
-    if (!ordered.empty()) {
-        if (auto err = mergeIntoCheckpoint(ckpt, ordered))
-            fvc_warn("fabric: checkpoint publish: ",
-                     err->describe());
-    }
+    // Retire this run's transient files.
     for (const auto &proc : procs) {
         ::unlink(proc.part.c_str());
         ::unlink(proc.spill.c_str());
@@ -565,8 +518,7 @@ FabricRunner::run()
     queue.unlinkFile();
 
     if (ephemeral) {
-        // Nothing can resume from a per-pid scratch dir; remove it.
-        ::unlink(ckpt.c_str());
+        // Nobody looks in a per-pid scratch dir again; remove it.
         if (DIR *d = ::opendir(dir.c_str())) {
             while (struct dirent *entry = ::readdir(d)) {
                 std::string name = entry->d_name;

@@ -22,11 +22,13 @@
  *  - Re-queues are bounded by the same FVC_RETRIES budget the
  *    thread backend uses; an exhausted cell degrades to a FAILED
  *    report, exactly like harness::runDegraded.
- *  - Completed records double as a checkpoint keyed by content
- *    fingerprints: re-running an interrupted sweep in the same
- *    FVC_FABRIC_DIR re-simulates only unfinished cells, and the
- *    merged output is byte-identical to a serial run regardless of
- *    worker count, crash schedule, or resume point.
+ *  - The runner keeps no state across runs, and the merged output
+ *    is byte-identical to a serial run regardless of worker count
+ *    or crash schedule. Resuming an interrupted sweep is a warm
+ *    serve from the result store: resultcache::ResultRepository
+ *    reads the spills a killed run left in FVC_FABRIC_DIR
+ *    (harvestDeadSpills), serves them as store hits and publishes
+ *    them.
  */
 
 #ifndef FVC_FABRIC_FABRIC_HH_
@@ -58,26 +60,43 @@ std::optional<unsigned> configuredWorkers();
 uint64_t leaseMs();
 
 /**
- * The fabric scratch directory: FVC_FABRIC_DIR when set (stable
- * names make checkpoint resume possible), otherwise a per-pid
- * directory under the system temp dir that is removed when the
- * coordinator finishes. All queue and spill files inside carry the
- * owning pid in their name, so concurrent fabrics never collide.
+ * The fabric scratch directory: FVC_FABRIC_DIR when set (a stable
+ * place where a killed run's spills can be found again), otherwise
+ * a per-pid directory under the system temp dir that is removed
+ * when the coordinator finishes. All queue and spill files inside
+ * carry the owning pid in their name, so concurrent fabrics never
+ * collide.
  */
 std::string fabricDir();
 
-/** True iff FVC_FABRIC_DIR was explicitly set (resume possible). */
+/** True iff FVC_FABRIC_DIR was explicitly set. */
 bool fabricDirConfigured();
 
 /**
- * Remove stale fabric files left by dead coordinators/workers in
- * @p dir: queue files whose coordinator pid is gone are deleted;
- * spill files whose worker pid is gone are first consolidated into
- * their sweep's checkpoint (their records are resume state, not
- * garbage) and then deleted. Files owned by live pids are left
- * alone. Called automatically by FabricRunner::run().
+ * Delete the queue files in @p dir whose coordinator pid is gone.
+ * Spill files are left alone: a dead worker's records are resume
+ * state, collected by harvestDeadSpills. Called automatically by
+ * FabricRunner::run().
  */
 void cleanupStaleFabricFiles(const std::string &dir);
+
+/** What a killed run left behind in a fabric directory. */
+struct DeadSpills
+{
+    /** Every CRC-valid record, in file order (may repeat cells). */
+    std::vector<SpillRecord> records;
+    /** The spill files read; remove them once the records are
+     * published somewhere durable. */
+    std::vector<std::string> paths;
+};
+
+/**
+ * Read the spill files in @p dir whose worker pid is gone. Their
+ * records are finished cells of a run that never merged them; the
+ * caller publishes them and only then removes @p paths. Spills of
+ * live pids are skipped.
+ */
+DeadSpills harvestDeadSpills(const std::string &dir);
 
 /** One cell that exhausted its retry budget. */
 struct CellFailure
@@ -90,30 +109,27 @@ struct CellFailure
 /** Provenance of one merged result. */
 struct CellMeta
 {
-    /** Run that simulated the record (== run_id for fresh work). */
+    /** Run that simulated the record. */
     uint64_t run_id = 0;
     uint32_t worker_pid = 0;
     /** Attempt number that produced the record. */
     uint32_t attempts = 0;
-    /** Restored from the checkpoint instead of simulated. */
-    bool from_checkpoint = false;
 };
 
 /** Everything one fabric run produced. */
 struct FabricOutcome
 {
-    /** One slot per cell, submission order; nullopt = FAILED (or
-     * not reached before an interrupt). */
+    /** One slot per cell, submission order; nullopt = FAILED. */
     std::vector<std::optional<CellStats>> results;
     std::vector<CellFailure> failures;
     /** Parallel to results; meaningful where results is engaged. */
     std::vector<CellMeta> meta;
     /** This coordinator run's id. */
     uint64_t run_id = 0;
-    /** A stop_after interrupt ended the run early. */
-    bool interrupted = false;
 
-    /** Cells restored from the checkpoint (not re-simulated). */
+    /** Always 0: the runner restores nothing (resume is a warm
+     * serve from the result store). Kept because the gridbench
+     * harness reports it as fabric.checkpoint_hits. */
     uint64_t checkpoint_hits = 0;
     /** Records produced by this run's workers. */
     uint64_t simulated = 0;
@@ -128,7 +144,7 @@ struct FabricOutcome
     /** Done cells demoted because no valid record backed them. */
     uint64_t demotions = 0;
 
-    bool ok() const { return failures.empty() && !interrupted; }
+    bool ok() const { return failures.empty(); }
 };
 
 /** Convert fabric failures to the thread backend's failure type so
@@ -149,17 +165,13 @@ struct FabricOptions
     std::optional<unsigned> retries;
     /** Scratch dir; empty = fabricDir(). */
     std::string dir;
-    /** Test hook: interrupt the sweep once this many cells are
-     * Done (0 = run to completion). Simulates a killed sweep for
-     * checkpoint-resume tests. */
-    size_t stop_after = 0;
 };
 
 /**
  * Collects cells and runs them across worker processes. Results
- * come back in submission order; equal worker counts, crash
- * schedules, and resume points all merge byte-identical because a
- * cell's stats are a pure function of its spec.
+ * come back in submission order; every worker count and crash
+ * schedule merges byte-identical because a cell's stats are a pure
+ * function of its spec.
  */
 class FabricRunner
 {
@@ -189,8 +201,7 @@ namespace detail {
  * the fvc_fabric driver's --worker self-test mode. */
 int runWorkerProcess(SharedQueue &queue,
                      const std::vector<CellSpec> &cells,
-                     unsigned worker_id, const std::string &dir,
-                     uint64_t sweep_hash);
+                     unsigned worker_id, const std::string &dir);
 
 } // namespace detail
 

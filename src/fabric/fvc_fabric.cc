@@ -6,11 +6,10 @@
  * and observed — outside the test suite:
  *
  *   FVC_WORKERS=4 ./fvc_fabric
- *   FVC_WORKERS=2 FVC_FABRIC_DIR=/tmp/fab ./fvc_fabric --stop-after 4
- *   FVC_WORKERS=2 FVC_FABRIC_DIR=/tmp/fab ./fvc_fabric   # resumes
+ *   FVC_WORKERS=2 FVC_FAULT_SPEC=kill_cell=3 ./fvc_fabric
  *
  * Knobs: FVC_WORKERS (process count), FVC_LEASE_MS (lease length),
- * FVC_FABRIC_DIR (scratch/checkpoint dir), FVC_FAULT_SPEC
+ * FVC_FABRIC_DIR (scratch dir), FVC_FAULT_SPEC
  * (kill_cell= / hang_cell= / corrupt_spill= fault injection), plus
  * the usual trace knobs (FVC_TRACE_ACCESSES, FVC_TRACE_DIR).
  */
@@ -40,9 +39,7 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--stop-after N] [--accesses N]\n"
-                 "  --stop-after N  interrupt once N cells are done "
-                 "(checkpoint-resume demo)\n"
+                 "usage: %s [--accesses N]\n"
                  "  --accesses N    trace length per cell "
                  "(default FVC_TRACE_ACCESSES)\n",
                  argv0);
@@ -56,28 +53,14 @@ main(int argc, char **argv)
 {
     using namespace fvc;
 
-    size_t stop_after = 0;
     uint64_t accesses = harness::defaultTraceAccesses();
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::optional<uint64_t> {
-            if (i + 1 >= argc)
-                return std::nullopt;
-            return util::parseUint(argv[++i]);
-        };
-        if (arg == "--stop-after") {
-            auto v = next();
-            if (!v)
-                return usage(argv[0]);
-            stop_after = *v;
-        } else if (arg == "--accesses") {
-            auto v = next();
-            if (!v || *v == 0)
-                return usage(argv[0]);
-            accesses = *v;
-        } else {
+        if (std::string(argv[i]) != "--accesses" || i + 1 >= argc)
             return usage(argv[0]);
-        }
+        auto v = util::parseUint(argv[++i]);
+        if (!v || *v == 0)
+            return usage(argv[0]);
+        accesses = *v;
     }
 
     harness::banner("Sweep fabric",
@@ -88,9 +71,7 @@ main(int argc, char **argv)
                   " lease_ms=" + std::to_string(fabric::leaseMs()) +
                   " dir=" + fabric::fabricDir());
 
-    fabric::FabricOptions options;
-    options.stop_after = stop_after;
-    fabric::FabricRunner runner(options);
+    fabric::FabricRunner runner;
     std::vector<fabric::CellSpec> specs;
     for (auto bench : kBenches) {
         for (unsigned kb : kDmcKb) {
@@ -111,9 +92,9 @@ main(int argc, char **argv)
 
     fabric::FabricOutcome outcome = runner.run();
 
-    util::Table table({"cell", "miss %", "source", "attempts"});
+    util::Table table({"cell", "miss %", "attempts"});
     table.alignRight(1);
-    table.alignRight(3);
+    table.alignRight(2);
     for (size_t i = 0; i < specs.size(); ++i) {
         const auto &result = outcome.results[i];
         table.addRow(
@@ -121,27 +102,21 @@ main(int argc, char **argv)
              result ? util::fixedStr(
                           result->cache.missRatePercent(), 3)
                     : harness::failedCell(),
-             !result ? "-"
-             : outcome.meta[i].from_checkpoint ? "checkpoint"
-                                               : "simulated",
              result ? std::to_string(outcome.meta[i].attempts)
                     : "-"});
     }
     std::printf("%s", table.render().c_str());
 
     std::printf("\nfabric: run_id=%016llx simulated=%llu "
-                "checkpoint=%llu reclaims=%llu kills=%llu "
-                "respawns=%llu rejected_frames=%llu%s\n",
+                "reclaims=%llu kills=%llu respawns=%llu "
+                "rejected_frames=%llu\n",
                 static_cast<unsigned long long>(outcome.run_id),
                 static_cast<unsigned long long>(outcome.simulated),
-                static_cast<unsigned long long>(
-                    outcome.checkpoint_hits),
                 static_cast<unsigned long long>(outcome.reclaims),
                 static_cast<unsigned long long>(outcome.kills),
                 static_cast<unsigned long long>(outcome.respawns),
                 static_cast<unsigned long long>(
-                    outcome.rejected_frames),
-                outcome.interrupted ? " (interrupted)" : "");
+                    outcome.rejected_frames));
 
     if (!outcome.failures.empty()) {
         harness::reportSweepFailures(
@@ -149,5 +124,5 @@ main(int argc, char **argv)
             "fabric sweep");
         return 1;
     }
-    return outcome.interrupted ? 3 : 0;
+    return 0;
 }

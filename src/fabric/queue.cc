@@ -163,10 +163,7 @@ SharedQueue::create(const std::string &path,
 
     for (size_t i = 0; i < cells.size(); ++i) {
         Slot *s = queue.slot(i);
-        SlotCtl ctl;
-        ctl.state = cells[i].restored ? CellState::Done
-                                      : CellState::Pending;
-        s->ctl = packCtl(ctl);
+        s->ctl = packCtl(SlotCtl{});
         s->deadline_ms = 0;
         s->profile_hash = cells[i].profile_hash;
         s->fingerprint = cells[i].fingerprint;

@@ -75,8 +75,6 @@ struct CellSeed
     uint64_t profile_hash = 0;
     /** Durable cell identity (fabric::cellFingerprint). */
     uint64_t fingerprint = 0;
-    /** Restored from a checkpoint: starts Done instead of Pending. */
-    bool restored = false;
 };
 
 /**
@@ -181,7 +179,7 @@ class SharedQueue
     /** True iff every cell is Done or Failed. */
     bool complete() const;
 
-    /** Cooperative-shutdown flag (stop-after interruption). */
+    /** Cooperative-shutdown flag (set when the coordinator drains). */
     void requestShutdown();
     bool shutdownRequested() const;
 

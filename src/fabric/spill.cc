@@ -1,7 +1,5 @@
 #include "fabric/spill.hh"
 
-#include <unordered_map>
-
 #include "util/framed.hh"
 
 namespace fvc::fabric {
@@ -23,7 +21,7 @@ using util::put64;
 constexpr size_t kRecordPayloadBytes =
     4 + 4 + 8 + 8 + 4 + 4 + 17 * 8;
 
-constexpr size_t kHeaderPayloadBytes = 8 + 8 + 4 + 4;
+constexpr size_t kHeaderPayloadBytes = 8 + 4 + 4;
 
 std::vector<uint8_t>
 encodeHeaderPayload(const SpillHeader &header)
@@ -31,7 +29,6 @@ encodeHeaderPayload(const SpillHeader &header)
     std::vector<uint8_t> out;
     out.reserve(kHeaderPayloadBytes);
     put64(out, header.run_id);
-    put64(out, header.sweep_hash);
     put32(out, header.worker_pid);
     put32(out, header.worker_id);
     return out;
@@ -42,9 +39,8 @@ decodeHeaderPayload(const uint8_t *p)
 {
     SpillHeader header;
     header.run_id = get64(p);
-    header.sweep_hash = get64(p + 8);
-    header.worker_pid = get32(p + 16);
-    header.worker_id = get32(p + 20);
+    header.worker_pid = get32(p + 8);
+    header.worker_id = get32(p + 12);
     return header;
 }
 
@@ -174,7 +170,7 @@ SpillWriter::append(const SpillRecord &record,
     fvc_assert(valid(), "append on closed SpillWriter");
     // One fsync per record: a cell marked Done in the queue must
     // imply a durable record, or a crash after markDone could lose
-    // a result the checkpoint claims to have.
+    // a result the queue claims to have.
     return appender_.append(kKindRecord,
                             encodeRecordPayload(record),
                             /*sync=*/true, corrupt_payload_bit);
@@ -204,34 +200,6 @@ readSpillFile(const std::string &path)
         }
     }
     return contents;
-}
-
-std::optional<util::Error>
-mergeIntoCheckpoint(const std::string &path,
-                    const std::vector<SpillRecord> &records)
-{
-    // Existing checkpoint records first: first-wins per fingerprint
-    // keeps the earliest run's record stable across consolidations.
-    std::vector<SpillRecord> merged;
-    std::unordered_map<uint64_t, size_t> seen;
-    auto add = [&](const SpillRecord &record) {
-        if (seen.emplace(record.fingerprint, merged.size()).second)
-            merged.push_back(record);
-    };
-    auto existing = readSpillFile(path);
-    if (existing.ok()) {
-        for (const auto &record : existing.value().records)
-            add(record);
-    }
-    for (const auto &record : records)
-        add(record);
-
-    std::vector<util::Frame> frames;
-    frames.reserve(merged.size());
-    for (const auto &record : merged)
-        frames.push_back(
-            util::Frame{kKindRecord, encodeRecordPayload(record)});
-    return util::writeFramedFileAtomic(path, kFrameMagic, frames);
 }
 
 } // namespace fvc::fabric

@@ -1,7 +1,7 @@
 /**
  * @file
- * CRC-framed result spill files: the fabric's IPC and checkpoint
- * format.
+ * CRC-framed result spill files: the fabric's worker-to-coordinator
+ * channel.
  *
  * A worker streams one self-delimiting frame per finished cell into
  * its own spill file ("w<id>-<pid>.part"); a clean exit renames it
@@ -11,14 +11,11 @@
  * and a corrupted frame is rejected rather than trusted, which
  * requeues its cell.
  *
- * The same format doubles as the checkpoint: the coordinator
- * consolidates every valid record into
- * "checkpoint-<sweep hash>.fvcr" (temp + rename, so the checkpoint
- * is never observable half-written), and a re-run of the same sweep
- * restores Done cells from it instead of re-simulating. Records are
- * keyed by the cell's durable fingerprint and stamped with the
- * run_id that produced them, so a resume can *prove* it only
- * re-simulated unfinished cells.
+ * Records are keyed by the cell's durable fingerprint and stamped
+ * with the run_id that produced them. The coordinator deletes its
+ * spills after merging them; the spills of a killed run stay in
+ * the fabric directory until the result repository harvests them
+ * into the result store (fabric::harvestDeadSpills).
  *
  * All decode paths return util::Expected / structured errors —
  * corrupt robustness-layer state must degrade, not abort.
@@ -70,7 +67,6 @@ struct SpillRecord
 struct SpillHeader
 {
     uint64_t run_id = 0;
-    uint64_t sweep_hash = 0;
     uint32_t worker_pid = 0;
     uint32_t worker_id = 0;
 };
@@ -95,8 +91,8 @@ constexpr size_t kCellStatsBytes = 17 * 8;
 
 /** Append the canonical 17-u64 serialization of @p stats
  * (occupancy_sum as its bit pattern) to @p out. Shared by the
- * spill/checkpoint format and the persistent result cache so the
- * two stores can never disagree about what a result *is*. */
+ * spill format and the persistent result cache so the two can
+ * never disagree about what a result *is*. */
 void encodeCellStats(std::vector<uint8_t> &out,
                      const CellStats &stats);
 
@@ -139,16 +135,6 @@ class SpillWriter
 
 /** Read every frame of @p path, tolerating a torn tail. */
 util::Expected<SpillContents> readSpillFile(const std::string &path);
-
-/**
- * Merge @p records into the checkpoint at @p path: existing valid
- * records are kept (first record for a fingerprint wins), new ones
- * appended, and the whole file rewritten via temp + rename so a
- * racing reader never sees a partial checkpoint.
- */
-std::optional<util::Error>
-mergeIntoCheckpoint(const std::string &path,
-                    const std::vector<SpillRecord> &records);
 
 } // namespace fvc::fabric
 

@@ -110,14 +110,12 @@ namespace detail {
 int
 runWorkerProcess(SharedQueue &queue,
                  const std::vector<CellSpec> &cells,
-                 unsigned worker_id, const std::string &dir,
-                 uint64_t sweep_hash)
+                 unsigned worker_id, const std::string &dir)
 {
     const uint32_t pid = static_cast<uint32_t>(::getpid());
 
     SpillHeader header;
     header.run_id = queue.runId();
-    header.sweep_hash = sweep_hash;
     header.worker_pid = pid;
     header.worker_id = worker_id;
     const std::string part = dir + "/w" + std::to_string(worker_id) +

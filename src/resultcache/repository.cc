@@ -181,6 +181,28 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
         }
     }
 
+    // Resume: the spills a killed fabric run left in FVC_FABRIC_DIR
+    // hold finished cells. They serve like store hits and publish
+    // with the fresh results; a harvested record outside this sweep
+    // has no spec to price it, so it enters at admission cost 0.
+    fabric::DeadSpills dead;
+    std::vector<ResultRecord> fresh;
+    if (mode == ResultMode::ReadWrite &&
+        fabric::fabricDirConfigured()) {
+        dead = fabric::harvestDeadSpills(fabric::fabricDir());
+        std::unordered_map<uint64_t, size_t> index_of;
+        for (size_t i = 0; i < n; ++i)
+            index_of.emplace(fps[i], i);
+        for (const auto &r : dead.records) {
+            if (!known.emplace(r.fingerprint, r.stats).second)
+                continue;
+            auto it = index_of.find(r.fingerprint);
+            const uint64_t cost =
+                it == index_of.end() ? 0 : cellCost(cells[it->second]);
+            fresh.push_back({r.fingerprint, cost, r.stats});
+        }
+    }
+
     // Dedupe + partition: one dispatch slot per novel fingerprint,
     // in submission order of its first occurrence.
     std::vector<size_t> miss_indices;
@@ -282,10 +304,9 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
         }
     }
 
-    // Publish fresh results (fabric checkpoint restores included —
-    // a restored record is as valid a seed as a simulated one).
+    // Publish fresh results and harvested records; the dead spills
+    // go only once their records are durable in the store.
     if (mode == ResultMode::ReadWrite) {
-        std::vector<ResultRecord> fresh;
         for (size_t k = 0; k < miss_indices.size(); ++k) {
             if (!miss_results[k])
                 continue;
@@ -295,8 +316,9 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
             record.stats = *miss_results[k];
             fresh.push_back(record);
         }
+        bool published = fresh.empty();
+        std::error_code ec;
         if (!fresh.empty()) {
-            std::error_code ec;
             std::filesystem::create_directories(resultDir(), ec);
             if (auto err = publishResults(resultFilePath(), fresh,
                                           resultCapBytes())) {
@@ -304,7 +326,12 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
                          err->describe());
             } else {
                 store_writes_ += fresh.size();
+                published = true;
             }
+        }
+        if (published) {
+            for (const auto &path : dead.paths)
+                std::filesystem::remove(path, ec);
         }
     }
 

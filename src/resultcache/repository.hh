@@ -11,6 +11,12 @@
  * to a fresh simulation and the rendered figures cannot tell the
  * difference.
  *
+ * Resume is a warm serve too: when FVC_FABRIC_DIR is set and the
+ * store is writable, runCells first reads the spills that dead
+ * fabric workers left there (a killed sweep), serves their records
+ * as store hits, publishes them with the fresh results, and removes
+ * the spills only once that publish succeeded.
+ *
  * Environment (mirroring the trace store's knobs):
  *  - FVC_RESULT_DIR: store directory; unset disables the cache.
  *  - FVC_RESULT_CACHE: "on"/"1" (default when the dir is set),

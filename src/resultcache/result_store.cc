@@ -62,8 +62,8 @@ publishResults(const std::string &path,
                const std::vector<ResultRecord> &records,
                uint64_t cap_bytes)
 {
-    // Existing records first: first-wins per fingerprint, the same
-    // stability rule the fabric checkpoint uses.
+    // Existing records first: first-wins per fingerprint keeps the
+    // earliest published record stable across publishes.
     std::vector<ResultRecord> merged;
     std::unordered_map<uint64_t, size_t> seen;
     auto add = [&](const ResultRecord &record) {

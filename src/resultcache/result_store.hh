@@ -5,9 +5,10 @@
  *
  * A record's key is fabric::cellFingerprint — profile content hash,
  * trace parameters (generator version included), DMC/FVC geometry,
- * protocol policy — so a stored record is exactly as reusable as a
- * fabric checkpoint record: equal fingerprints mean byte-identical
- * simulation output, across runs and machines.
+ * protocol policy — so equal fingerprints mean byte-identical
+ * simulation output, across runs and machines. This is the only
+ * durable result store: resuming an interrupted fabric sweep is a
+ * warm serve from it (see repository.hh).
  *
  * Durability follows the trace-store/fabric idioms via util/framed:
  * every record is an independent CRC frame (one flipped bit costs
@@ -87,9 +88,9 @@ readResultFile(const std::string &path);
 /**
  * Merge @p records into the store at @p path and publish it
  * atomically. Existing valid records are read first and win over
- * new ones with the same fingerprint (first-wins, like the fabric
- * checkpoint), so concurrent publishers of one key converge on the
- * earliest published record. When the merged set would exceed
+ * new ones with the same fingerprint (first-wins), so concurrent
+ * publishers of one key converge on the earliest published record.
+ * When the merged set would exceed
  * @p cap_bytes, the cheapest records are dropped (cost descending,
  * fingerprint ascending on ties — fully deterministic). A corrupt
  * or torn existing file contributes its surviving records and is

@@ -13,14 +13,18 @@
  * their line state is stored as contiguous columns (tag / dirty /
  * stamp, plus FVC tag / dirty / stamp / present) concatenated
  * lane-after-lane in one arena allocation per group. The hot
- * probe streams those columns in two phases: a vector hit loop
- * that retires hits in bulk and appends every miss to a per-lane
- * queue segment (MissEntry), and a drain that resolves the queued
- * misses lane by lane so each lane's DMC/FVC columns stay
- * register/L1-resident through the whole slow path. Only an
- * occupancy sample due mid-block forces a lane back to the fully
- * inline per-record walk, so one divergent lane never serializes
- * its group.
+ * probe walks those columns one of two ways (lane_kernel_impl.hh).
+ * Direct-mapped groups under a vector kernel take the inline chunk
+ * walk: a gather+compare predicts each chunk's hits, runs of hits
+ * retire in bulk, and each miss runs the protocol inline.
+ * Associative groups, and every group under lane-scalar, take the
+ * queue walk: a hit loop retires hits and appends every miss to a
+ * per-lane queue segment (MissEntry), and a drain resolves the
+ * queued misses lane by lane so each lane's DMC/FVC columns stay
+ * register/L1-resident through the whole slow path. An occupancy
+ * sample due mid-block puts a lane on the fully inline per-record
+ * walk for that block, so one divergent lane never serializes its
+ * group.
  *
  * Validity and the dirty bit are encoded in the DMC tag word
  * itself: an invalid line holds kLaneInvalidTag, which no real tag
@@ -32,9 +36,10 @@
  * probed — the state a line access touches is exactly one 32-bit
  * word.
  *
- * Bit-identity: every miss (and every record aliasing a queued
- * miss's set) drains in record order, so RNG streams, FVC clocks,
- * counters, and the occupancy double accumulate exactly as in
+ * Bit-identity: misses resolve in record order on either walk (on
+ * the queue walk, so does every record aliasing a queued miss's
+ * set), so RNG streams, FVC clocks, counters, and the occupancy
+ * double accumulate exactly as in
  * DmcFvcSystem; within a set, hit stamps and install stamps
  * also keep record order, and stamps are only ever compared within
  * one set. Lanes are mutually independent within a block (the

@@ -165,17 +165,13 @@ TraceReader::init(const std::string &path)
         return util::Error{util::ErrorCode::Format,
                            "bad trace magic", path};
     }
-    if (header_.version == kTraceVersionLegacy) {
-        legacy_ = true;
-    } else if (header_.version != kTraceVersion) {
+    if (header_.version != kTraceVersion) {
         return util::Error{util::ErrorCode::Format,
                            "unsupported trace version " +
                                std::to_string(header_.version),
                            path};
     }
     remaining_ = header_.record_count;
-    if (legacy_)
-        buffer_.resize(kBufferRecords * kRecordBytes);
     return std::nullopt;
 }
 
@@ -211,28 +207,8 @@ TraceReader::fail(util::ErrorCode code, const std::string &message)
 }
 
 bool
-TraceReader::refillLegacy()
-{
-    buf_len_ = std::fread(buffer_.data(), 1, buffer_.size(), file_);
-    if (buf_len_ % kRecordBytes != 0) {
-        return fail(util::ErrorCode::Truncated,
-                    "trace data is not a whole number of records");
-    }
-    buf_pos_ = 0;
-    if (buf_len_ == 0) {
-        return fail(util::ErrorCode::Truncated,
-                    "trace ends " + std::to_string(remaining_) +
-                        " records early");
-    }
-    return true;
-}
-
-bool
 TraceReader::refill()
 {
-    if (legacy_)
-        return refillLegacy();
-
     uint8_t frame[kChunkFrameBytes];
     std::string chunk = "chunk " + std::to_string(chunk_index_);
     if (std::fread(frame, 1, sizeof(frame), file_) != sizeof(frame)) {

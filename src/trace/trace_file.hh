@@ -10,8 +10,8 @@
  * where the payload is a whole number of packed little-endian
  * records. The per-chunk CRC means any single-bit corruption of the
  * data is detected and reported as a structured util::Error instead
- * of being silently decoded. Format v1 files (no chunk framing, no
- * CRC) still load through a legacy fallback path.
+ * of being silently decoded. Any other version (including the old
+ * unframed v1) is refused as an unsupported format.
  */
 
 #ifndef FVC_TRACE_TRACE_FILE_HH_
@@ -34,8 +34,6 @@ namespace fvc::trace {
 inline constexpr uint32_t kTraceMagic = 0x46564354;
 /** Current format version (chunked, CRC-protected). */
 inline constexpr uint32_t kTraceVersion = 2;
-/** The legacy unframed format, still readable. */
-inline constexpr uint32_t kTraceVersionLegacy = 1;
 
 /** Trace file header, stored verbatim at offset 0. */
 struct TraceHeader
@@ -93,8 +91,8 @@ class TraceWriter
 };
 
 /**
- * Streaming reader; a TraceSource over a trace file. Reads the
- * current chunked format and falls back to the legacy v1 layout.
+ * Streaming reader; a TraceSource over a trace file in the current
+ * chunked format.
  *
  * Integrity errors mid-stream (CRC mismatch, truncated chunk, bad
  * op byte) make next() return false with error() set; callers that
@@ -132,7 +130,6 @@ class TraceReader : public TraceSource
     std::FILE *file_ = nullptr;
     std::string path_;
     TraceHeader header_;
-    bool legacy_ = false;
     uint64_t remaining_ = 0;
     uint64_t chunk_index_ = 0;
     std::optional<util::Error> error_;
@@ -143,7 +140,6 @@ class TraceReader : public TraceSource
     /** Open + header validation; shared by the ctor and open(). */
     std::optional<util::Error> init(const std::string &path);
     bool refill();
-    bool refillLegacy();
     bool fail(util::ErrorCode code, const std::string &message);
 };
 

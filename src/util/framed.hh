@@ -1,7 +1,7 @@
 /**
  * @file
- * CRC-framed record files, shared by the fabric spill/checkpoint
- * format and the persistent result cache.
+ * CRC-framed record files, shared by the fabric spill format and
+ * the persistent result cache.
  *
  * One frame is: magic u32 | kind u32 | payload_len u32 |
  * crc32(payload) u32 | payload bytes — all little-endian. The magic

@@ -1,32 +1,39 @@
 /**
  * @file
  * Crash matrix for the multi-process sweep fabric: queue CAS
- * semantics, spill framing, checkpoint consolidation, and the
+ * semantics, spill framing, dead-spill harvesting, and the
  * end-to-end contract that SIGKILL, SIGSTOP, corrupted spill
- * frames, and resume-after-interrupt all converge to results
- * byte-identical to a serial run.
+ * frames, and resume after a killed sweep (a warm serve through
+ * the result repository) all converge to results byte-identical
+ * to a serial run.
  *
  * Every fabric test uses its own mkdtemp directory (per-test
- * queue/spill/checkpoint state) and small traces; fault injection
- * goes through FVC_FAULT_SPEC exactly as a user would drive it.
+ * queue/spill state) and small traces; fault injection goes
+ * through FVC_FAULT_SPEC exactly as a user would drive it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "fabric/cell.hh"
 #include "fabric/fabric.hh"
 #include "fabric/queue.hh"
 #include "fabric/spill.hh"
+#include "resultcache/repository.hh"
 #include "verify/fault_injector.hh"
 
 namespace fb = fvc::fabric;
@@ -72,15 +79,29 @@ class TempDir
     std::string path_;
 };
 
-/** Scoped FVC_FAULT_SPEC (workers read it at startup). */
-class ScopedFaultSpec
+/** An env var set for one scope (workers inherit it at fork),
+ * restored on exit. */
+class ScopedEnv
 {
   public:
-    explicit ScopedFaultSpec(const std::string &spec)
+    ScopedEnv(const char *name, const std::string &value)
+        : name_(name)
     {
-        setenv("FVC_FAULT_SPEC", spec.c_str(), 1);
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value.c_str(), 1);
     }
-    ~ScopedFaultSpec() { unsetenv("FVC_FAULT_SPEC"); }
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
 };
 
 /** The standard matrix: 4 SPECint95 profiles x {DMC, DMC+FVC}. */
@@ -127,16 +148,47 @@ runFabric(const std::vector<fb::CellSpec> &cells,
 }
 
 void
-expectMatchesSerial(const fb::FabricOutcome &outcome,
-                    const std::vector<fb::CellStats> &serial)
+expectMatchesSerial(
+    const std::vector<std::optional<fb::CellStats>> &results,
+    const std::vector<fb::CellStats> &serial)
 {
-    ASSERT_EQ(outcome.results.size(), serial.size());
+    ASSERT_EQ(results.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_TRUE(outcome.results[i].has_value())
+        ASSERT_TRUE(results[i].has_value())
             << "cell " << i << " missing";
-        EXPECT_TRUE(outcome.results[i]->identical(serial[i]))
+        EXPECT_TRUE(results[i]->identical(serial[i]))
             << "cell " << i << " diverged from serial";
     }
+}
+
+/** The worker spill files in a fabric dir and the distinct cells
+ * their valid records cover. */
+struct SpillScan
+{
+    size_t files = 0;
+    std::set<uint64_t> fingerprints;
+};
+
+SpillScan
+scanSpills(const std::string &dir)
+{
+    SpillScan scan;
+    DIR *d = ::opendir(dir.c_str());
+    if (!d)
+        return scan;
+    while (struct dirent *entry = ::readdir(d)) {
+        std::string name = entry->d_name;
+        if (name[0] != 'w')
+            continue;
+        ++scan.files;
+        auto contents = fb::readSpillFile(dir + "/" + name);
+        if (!contents.ok())
+            continue;
+        for (const auto &record : contents.value().records)
+            scan.fingerprints.insert(record.fingerprint);
+    }
+    ::closedir(d);
+    return scan;
 }
 
 fb::SpillRecord
@@ -164,7 +216,7 @@ TEST(SharedQueueTest, ClaimDoneLifecycle)
     TempDir dir;
     std::vector<fb::CellSeed> seeds(3);
     for (size_t i = 0; i < seeds.size(); ++i)
-        seeds[i] = {i, 100 + i, false};
+        seeds[i] = {i, 100 + i};
     auto created = fb::SharedQueue::create(
         dir.path() + "/queue-1.fvcq", seeds, 3, 60000, 99);
     ASSERT_TRUE(created.ok()) << created.error().describe();
@@ -250,13 +302,6 @@ TEST(SharedQueueTest, DemoteUnpublishedRequeuesDoneCell)
     ASSERT_TRUE(state.has_value());
     EXPECT_EQ(*state, fb::CellState::Pending);
     EXPECT_EQ(queue.load(0).attempts, 1u);
-    // Restored-from-checkpoint cells start Done.
-    std::vector<fb::CellSeed> restored(1);
-    restored[0].restored = true;
-    auto created2 = fb::SharedQueue::create(
-        dir.path() + "/queue-2.fvcq", restored, 3, 50, 1);
-    ASSERT_TRUE(created2.ok());
-    EXPECT_TRUE(created2.value().complete());
 }
 
 // --- spill unit tests -------------------------------------------
@@ -265,7 +310,7 @@ TEST(SpillTest, RoundTripsRecordsWithHeader)
 {
     TempDir dir;
     const std::string path = dir.path() + "/w0-1.part";
-    fb::SpillHeader header{11, 22, 33, 0};
+    fb::SpillHeader header{11, 33, 0};
     auto writer = fb::SpillWriter::open(path, header);
     ASSERT_TRUE(writer.ok()) << writer.error().describe();
     for (uint32_t i = 0; i < 3; ++i)
@@ -277,7 +322,7 @@ TEST(SpillTest, RoundTripsRecordsWithHeader)
     ASSERT_TRUE(contents.ok());
     ASSERT_TRUE(contents.value().header.has_value());
     EXPECT_EQ(contents.value().header->run_id, 11u);
-    EXPECT_EQ(contents.value().header->sweep_hash, 22u);
+    EXPECT_EQ(contents.value().header->worker_pid, 33u);
     ASSERT_EQ(contents.value().records.size(), 3u);
     EXPECT_EQ(contents.value().rejected_frames, 0u);
     EXPECT_FALSE(contents.value().truncated_tail);
@@ -291,7 +336,7 @@ TEST(SpillTest, ToleratesTornTailAfterCrash)
 {
     TempDir dir;
     const std::string path = dir.path() + "/w0-1.part";
-    auto writer = fb::SpillWriter::open(path, {1, 2, 3, 0});
+    auto writer = fb::SpillWriter::open(path, {1, 3, 0});
     ASSERT_TRUE(writer.ok());
     ASSERT_FALSE(writer.value().append(sampleRecord(0, 500)));
     ASSERT_FALSE(writer.value().append(sampleRecord(1, 501)));
@@ -313,7 +358,7 @@ TEST(SpillTest, RejectsCorruptFrameButKeepsNeighbours)
 {
     TempDir dir;
     const std::string path = dir.path() + "/w0-1.part";
-    auto writer = fb::SpillWriter::open(path, {1, 2, 3, 0});
+    auto writer = fb::SpillWriter::open(path, {1, 3, 0});
     ASSERT_TRUE(writer.ok());
     ASSERT_FALSE(writer.value().append(sampleRecord(0, 500)));
     // The deterministic fault-injection point: payload bit flipped
@@ -328,30 +373,6 @@ TEST(SpillTest, RejectsCorruptFrameButKeepsNeighbours)
     ASSERT_EQ(contents.value().records.size(), 2u);
     EXPECT_EQ(contents.value().records[0].fingerprint, 500u);
     EXPECT_EQ(contents.value().records[1].fingerprint, 502u);
-}
-
-TEST(SpillTest, CheckpointMergeIsFirstWinsAndAtomic)
-{
-    TempDir dir;
-    const std::string ckpt = dir.path() + "/checkpoint-x.fvcr";
-    ASSERT_FALSE(fb::mergeIntoCheckpoint(
-        ckpt, {sampleRecord(0, 500), sampleRecord(1, 501)}));
-    // Second merge: a duplicate fingerprint must not displace the
-    // original record; new fingerprints append.
-    fb::SpillRecord dup = sampleRecord(0, 500);
-    dup.run_id = 1234;
-    ASSERT_FALSE(fb::mergeIntoCheckpoint(
-        ckpt, {dup, sampleRecord(2, 502)}));
-
-    auto contents = fb::readSpillFile(ckpt);
-    ASSERT_TRUE(contents.ok());
-    ASSERT_EQ(contents.value().records.size(), 3u);
-    EXPECT_EQ(contents.value().records[0].run_id, 7u); // original
-    // No temp file left behind by the rename publish.
-    std::string tmp =
-        ckpt + ".tmp." + std::to_string(::getpid());
-    struct stat st;
-    EXPECT_NE(::stat(tmp.c_str(), &st), 0);
 }
 
 // --- fault-spec parsing -----------------------------------------
@@ -414,60 +435,67 @@ TEST(FabricCleanupTest, HarvestsDeadPidSpillsAndDropsDeadQueues)
     // config): everything it "owns" is stale.
     const std::string dead = "399999999";
     const std::string live = std::to_string(::getpid());
+    const std::string dead_queue =
+        dir.path() + "/queue-" + dead + ".fvcq";
+    const std::string dead_spill =
+        dir.path() + "/w0-" + dead + ".part";
+    const std::string live_spill =
+        dir.path() + "/w1-" + live + ".part";
 
-    // Stale queue file + stale checkpoint temp file.
-    ASSERT_NE(::creat((dir.path() + "/queue-" + dead + ".fvcq")
-                          .c_str(),
-                      0644),
-              -1);
-    ASSERT_NE(::creat((dir.path() +
-                       "/checkpoint-aa.fvcr.tmp." + dead)
-                          .c_str(),
-                      0644),
-              -1);
-    // Stale spill with real records for sweep hash 0x22: its
-    // records must survive into the checkpoint.
+    int fd = ::creat(dead_queue.c_str(), 0644);
+    ASSERT_NE(fd, -1);
+    ::close(fd);
     {
-        auto writer = fb::SpillWriter::open(
-            dir.path() + "/w0-" + dead + ".part",
-            {9, 0x22, 399999999, 0});
+        auto writer =
+            fb::SpillWriter::open(dead_spill, {9, 399999999, 0});
         ASSERT_TRUE(writer.ok());
         ASSERT_FALSE(writer.value().append(sampleRecord(0, 500)));
     }
-    // A live-pid spill stays untouched.
     {
-        auto writer = fb::SpillWriter::open(
-            dir.path() + "/w1-" + live + ".part",
-            {9, 0x22, 1, 1});
+        auto writer = fb::SpillWriter::open(live_spill, {9, 1, 1});
         ASSERT_TRUE(writer.ok());
+        ASSERT_FALSE(writer.value().append(sampleRecord(1, 501)));
     }
 
-    fb::cleanupStaleFabricFiles(dir.path());
+    // The harvest returns the dead worker's record and names its
+    // file for removal; a live worker's spill is none of its
+    // business.
+    fb::DeadSpills harvest = fb::harvestDeadSpills(dir.path());
+    ASSERT_EQ(harvest.records.size(), 1u);
+    EXPECT_EQ(harvest.records[0].fingerprint, 500u);
+    EXPECT_EQ(harvest.paths, std::vector<std::string>{dead_spill});
 
+    // Cleanup drops the dead queue but keeps every spill: a dead
+    // spill is resume state until its records are published.
+    fb::cleanupStaleFabricFiles(dir.path());
     struct stat st;
-    EXPECT_NE(::stat((dir.path() + "/queue-" + dead + ".fvcq")
-                         .c_str(),
-                     &st),
-              0);
-    EXPECT_NE(::stat((dir.path() +
-                      "/checkpoint-aa.fvcr.tmp." + dead)
-                         .c_str(),
-                     &st),
-              0);
-    EXPECT_NE(
-        ::stat((dir.path() + "/w0-" + dead + ".part").c_str(),
-               &st),
-        0);
-    EXPECT_EQ(
-        ::stat((dir.path() + "/w1-" + live + ".part").c_str(),
-               &st),
-        0);
-    // The dead worker's record was consolidated, not lost.
-    auto ckpt = fb::readSpillFile(
-        dir.path() + "/checkpoint-0000000000000022.fvcr");
-    ASSERT_TRUE(ckpt.ok());
-    ASSERT_EQ(ckpt.value().records.size(), 1u);
-    EXPECT_EQ(ckpt.value().records[0].fingerprint, 500u);
+    EXPECT_NE(::stat(dead_queue.c_str(), &st), 0);
+    EXPECT_EQ(::stat(dead_spill.c_str(), &st), 0);
+    EXPECT_EQ(::stat(live_spill.c_str(), &st), 0);
+}
+
+TEST(FabricCleanupTest, UnreapedWorkerCountsAsDead)
+{
+    // A killed run's orphaned workers can linger as zombies until
+    // init reaps them; their spills must still be harvestable.
+    TempDir dir;
+    const pid_t zombie = ::fork();
+    ASSERT_GE(zombie, 0);
+    if (zombie == 0)
+        ::_exit(0);
+    siginfo_t info{};
+    ASSERT_EQ(::waitid(P_PID, zombie, &info, WEXITED | WNOWAIT), 0);
+    {
+        auto writer = fb::SpillWriter::open(
+            dir.path() + "/w0-" + std::to_string(zombie) + ".part",
+            {9, static_cast<uint32_t>(zombie), 0});
+        ASSERT_TRUE(writer.ok());
+        ASSERT_FALSE(writer.value().append(sampleRecord(0, 600)));
+    }
+    fb::DeadSpills harvest = fb::harvestDeadSpills(dir.path());
+    ::waitpid(zombie, nullptr, 0);
+    ASSERT_EQ(harvest.records.size(), 1u);
+    EXPECT_EQ(harvest.records[0].fingerprint, 600u);
 }
 
 // --- end-to-end crash matrix ------------------------------------
@@ -485,12 +513,9 @@ TEST(FabricTest, MatchesSerialAcrossWorkerCounts)
         EXPECT_TRUE(outcome.ok());
         EXPECT_TRUE(outcome.failures.empty());
         EXPECT_EQ(outcome.simulated, cells.size());
-        EXPECT_EQ(outcome.checkpoint_hits, 0u);
-        expectMatchesSerial(outcome, serial);
-        for (size_t i = 0; i < cells.size(); ++i) {
-            EXPECT_FALSE(outcome.meta[i].from_checkpoint);
+        expectMatchesSerial(outcome.results, serial);
+        for (size_t i = 0; i < cells.size(); ++i)
             EXPECT_EQ(outcome.meta[i].run_id, outcome.run_id);
-        }
     }
 }
 
@@ -499,14 +524,14 @@ TEST(FabricTest, SigkillMidCellIsStolenOrReclaimed)
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
-    ScopedFaultSpec fault("kill_cell=2");
+    ScopedEnv fault("FVC_FAULT_SPEC", "kill_cell=2");
     fb::FabricOptions options;
     options.workers = 2;
     options.lease_ms = 100;
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
-    expectMatchesSerial(outcome, serial);
+    expectMatchesSerial(outcome.results, serial);
     // The record that survived is from the *second* attempt: the
     // first claimer died holding the lease.
     EXPECT_GE(outcome.meta[2].attempts, 2u);
@@ -517,7 +542,7 @@ TEST(FabricTest, SigstopHangIsKilledAndReclaimed)
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
-    ScopedFaultSpec fault("hang_cell=1");
+    ScopedEnv fault("FVC_FAULT_SPEC", "hang_cell=1");
     fb::FabricOptions options;
     options.workers = 1; // nobody to steal: the coordinator must
                          // SIGKILL the stopped worker and respawn
@@ -525,7 +550,7 @@ TEST(FabricTest, SigstopHangIsKilledAndReclaimed)
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
-    expectMatchesSerial(outcome, serial);
+    expectMatchesSerial(outcome.results, serial);
     EXPECT_GE(outcome.kills, 1u);
     EXPECT_GE(outcome.reclaims, 1u);
     EXPECT_GE(outcome.respawns, 1u);
@@ -537,14 +562,14 @@ TEST(FabricTest, SigstopHangIsStolenByPeerWorker)
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
-    ScopedFaultSpec fault("hang_cell=0");
+    ScopedEnv fault("FVC_FAULT_SPEC", "hang_cell=0");
     fb::FabricOptions options;
     options.workers = 3; // a peer steals the expired lease
     options.lease_ms = 100;
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
-    expectMatchesSerial(outcome, serial);
+    expectMatchesSerial(outcome.results, serial);
     // The stopped worker never exits on its own; the coordinator
     // must have SIGKILLed it at drain (or at lease expiry).
     EXPECT_GE(outcome.kills, 1u);
@@ -556,14 +581,14 @@ TEST(FabricTest, CorruptSpillFrameIsRejectedAndRequeued)
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
-    ScopedFaultSpec fault("corrupt_spill=3");
+    ScopedEnv fault("FVC_FAULT_SPEC", "corrupt_spill=3");
     fb::FabricOptions options;
     options.workers = 2;
     options.lease_ms = 100;
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
-    expectMatchesSerial(outcome, serial);
+    expectMatchesSerial(outcome.results, serial);
     // The corrupted frame was seen and refused, the Done cell was
     // demoted, and a clean re-run published the real record.
     EXPECT_GE(outcome.rejected_frames, 1u);
@@ -576,7 +601,7 @@ TEST(FabricTest, StickyKillExhaustsRetryBudget)
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
-    ScopedFaultSpec fault("kill_cell=0,sticky=1");
+    ScopedEnv fault("FVC_FAULT_SPEC", "kill_cell=0,sticky=1");
     fb::FabricOptions options;
     options.workers = 1;
     options.lease_ms = 100;
@@ -609,49 +634,59 @@ TEST(FabricTest, ResumeSimulatesOnlyUnfinishedCells)
 {
     auto cells = matrixCells();
     auto serial = serialReference(cells);
-    TempDir dir;
-    fb::FabricOptions options;
-    options.workers = 2;
-    options.lease_ms = 100;
-    options.dir = dir.path();
+    TempDir fabric_dir;
+    TempDir result_dir;
+    ScopedEnv workers("FVC_WORKERS", "2");
+    ScopedEnv fabric("FVC_FABRIC_DIR", fabric_dir.path());
+    ScopedEnv results("FVC_RESULT_DIR", result_dir.path());
 
-    // Run 1: interrupted once 3 cells are done (the coordinator
-    // SIGKILLs its workers, exactly like a killed sweep).
-    fb::FabricOptions first = options;
-    first.stop_after = 3;
-    auto run1 = runFabric(cells, first);
-    EXPECT_TRUE(run1.interrupted);
-    size_t finished = 0;
-    for (const auto &result : run1.results)
-        finished += result.has_value() ? 1 : 0;
-    EXPECT_GE(finished, 3u);
-
-    // Run 2, same dir: restores from the checkpoint and simulates
-    // only what run 1 did not finish — proven per cell by the
-    // run_id generation counter stamped into each record.
-    auto run2 = runFabric(cells, options);
-    EXPECT_TRUE(run2.ok());
-    expectMatchesSerial(run2, serial);
-    EXPECT_GE(run2.checkpoint_hits, 3u);
-    EXPECT_EQ(run2.simulated,
-              cells.size() - run2.checkpoint_hits);
-    size_t restored = 0;
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (run2.meta[i].from_checkpoint) {
-            EXPECT_EQ(run2.meta[i].run_id, run1.run_id)
-                << "restored record must carry the run that "
-                   "simulated it";
-            ++restored;
-        } else {
-            EXPECT_EQ(run2.meta[i].run_id, run2.run_id);
-        }
+    // Run 1: a real crash. A forked child resolves the sweep; cell
+    // 0 hangs under a long lease, so the sweep cannot finish on its
+    // own, and the child's whole process group (coordinator and
+    // workers) is SIGKILLed once 3 records are durable in spills.
+    // As subreaper, this process reaps the orphaned workers too: an
+    // unreaped pid would still look alive to the harvest.
+    ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ::setpgid(0, 0);
+        setenv("FVC_FAULT_SPEC", "hang_cell=0", 1);
+        setenv("FVC_LEASE_MS", "60000", 1);
+        fvc::resultcache::ResultRepository repo;
+        repo.runCells(cells, "killed sweep");
+        ::_exit(0);
     }
-    EXPECT_EQ(restored, run2.checkpoint_hits);
+    ::setpgid(child, child);
+    for (int ms = 0; ms < 60000; ms += 5) {
+        if (scanSpills(fabric_dir.path()).fingerprints.size() >= 3)
+            break;
+        ::usleep(5000);
+    }
+    ::kill(-child, SIGKILL);
+    while (::waitpid(-child, nullptr, 0) > 0) {
+    }
+    ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+    const size_t finished =
+        scanSpills(fabric_dir.path()).fingerprints.size();
+    ASSERT_GE(finished, 3u);
+    ASSERT_LT(finished, cells.size()); // cell 0 never finished
 
-    // Run 3: everything restores; nothing is simulated.
-    auto run3 = runFabric(cells, options);
-    EXPECT_TRUE(run3.ok());
-    expectMatchesSerial(run3, serial);
-    EXPECT_EQ(run3.checkpoint_hits, cells.size());
-    EXPECT_EQ(run3.simulated, 0u);
+    // Run 2: a warm serve. The dead spills' records are served as
+    // store hits and only the rest is simulated; once published,
+    // no dead spill is left behind.
+    fvc::resultcache::ResultRepository run2;
+    expectMatchesSerial(run2.runCells(cells, "resumed sweep"),
+                        serial);
+    EXPECT_EQ(run2.storeHits(), finished);
+    EXPECT_EQ(run2.simulations(), cells.size() - finished);
+    EXPECT_EQ(scanSpills(fabric_dir.path()).files, 0u);
+
+    // Run 3: everything is in the store; any simulation would
+    // abort the test under FVC_RESULT_EXPECT_WARM.
+    ScopedEnv warm("FVC_RESULT_EXPECT_WARM", "1");
+    fvc::resultcache::ResultRepository run3;
+    expectMatchesSerial(run3.runCells(cells, "warm sweep"), serial);
+    EXPECT_EQ(run3.simulations(), 0u);
+    EXPECT_EQ(run3.storeHits(), cells.size());
 }

@@ -2,8 +2,8 @@
  * @file
  * Tests for the verification subsystem: FaultSpec parsing, seeded
  * fault-injection determinism, trace-file CRC integrity (every
- * single-bit corruption must be detected), the legacy-format
- * fallback, and the shadow-model cross-checker — both that it
+ * single-bit corruption must be detected, the unframed v1 format is
+ * refused), and the shadow-model cross-checker — both that it
  * passes on correct systems and that it fails loudly when the
  * injector breaks them.
  */
@@ -268,7 +268,7 @@ TEST(FaultInjectorTest, CorruptMemoryWordNeedsInterestingWords)
 }
 
 // ---------------------------------------------------------------
-// Trace-file integrity (CRC) and legacy fallback
+// Trace-file integrity (CRC) and format version
 // ---------------------------------------------------------------
 
 TEST(TraceIntegrityTest, EverySingleBitFlipIsDetected)
@@ -364,41 +364,15 @@ TEST(TraceIntegrityTest, OpenReportsUnsupportedVersionAsError)
     std::remove(path.c_str());
 }
 
-TEST(TraceIntegrityTest, LegacyV1FilesLoadThroughFallback)
+TEST(TraceIntegrityTest, V1HeaderIsRejectedAsFormatError)
 {
     // A v1 file is the same header followed by raw, unframed
-    // records — what the previous format wrote. It must still load.
-    std::string path = tempPath("legacy_v1.fvct");
-    auto records = loadTestRecords(100);
-    ft::TraceHeader header;
-    header.version = ft::kTraceVersionLegacy;
-    header.record_count = records.size();
-    std::vector<uint8_t> bytes(sizeof(header) +
-                               records.size() * ft::kRecordBytes);
-    std::memcpy(bytes.data(), &header, sizeof(header));
-    for (size_t i = 0; i < records.size(); ++i) {
-        ft::encodeRecord(records[i], bytes.data() + sizeof(header) +
-                                         i * ft::kRecordBytes);
-    }
-    writeAll(path, bytes);
-
-    auto reader = ft::TraceReader::open(path);
-    ASSERT_TRUE(reader.ok()) << reader.error().describe();
-    std::vector<ft::MemRecord> out;
-    ft::MemRecord rec;
-    while (reader.value()->next(rec))
-        out.push_back(rec);
-    EXPECT_FALSE(reader.value()->error().has_value());
-    EXPECT_EQ(out, records);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIntegrityTest, LegacyTruncationIsReported)
-{
-    std::string path = tempPath("legacy_short.fvct");
+    // records. Nothing writes v1 any more, and without chunk CRCs
+    // its data could not be checked, so the reader refuses it.
+    std::string path = tempPath("v1.fvct");
     auto records = loadTestRecords(10);
     ft::TraceHeader header;
-    header.version = ft::kTraceVersionLegacy;
+    header.version = 1;
     header.record_count = records.size();
     std::vector<uint8_t> bytes(sizeof(header) +
                                records.size() * ft::kRecordBytes);
@@ -407,17 +381,13 @@ TEST(TraceIntegrityTest, LegacyTruncationIsReported)
         ft::encodeRecord(records[i], bytes.data() + sizeof(header) +
                                          i * ft::kRecordBytes);
     }
-    bytes.resize(bytes.size() - 5);
     writeAll(path, bytes);
 
     auto reader = ft::TraceReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    ft::MemRecord rec;
-    while (reader.value()->next(rec)) {
-    }
-    ASSERT_TRUE(reader.value()->error().has_value());
-    EXPECT_EQ(reader.value()->error()->code,
-              fu::ErrorCode::Truncated);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.error().code, fu::ErrorCode::Format);
+    EXPECT_NE(reader.error().message.find("unsupported trace version"),
+              std::string::npos);
     std::remove(path.c_str());
 }
 

@@ -7,9 +7,12 @@
  * (SIGKILLing live-but-stuck owners first; SIGKILL works on a
  * SIGSTOPped process), respawn replacements while work remains, and
  * validate at the completion barrier that every Done cell is backed
- * by a CRC-valid record, demoting the ones that are not. All result
- * truth lives in the spill records; the queue is only scheduling
- * state and is discarded at the end.
+ * by a CRC-valid record, demoting the ones that are not. Between
+ * passes it sleeps until a worker exits (poll on one pidfd per
+ * unreaped worker) or the lease-derived poll period passes, so a
+ * run ends as soon as its workers have published. All result truth
+ * lives in the spill records; the queue is only scheduling state and
+ * is discarded at the end.
  */
 
 #include "fabric/fabric.hh"
@@ -20,10 +23,13 @@
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
+#include <utility>
 
 #include <dirent.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -55,15 +61,6 @@ pidAlive(pid_t pid)
            text[paren + 2] != 'Z';
 }
 
-void
-sleepMs(uint64_t ms)
-{
-    struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(ms / 1000);
-    ts.tv_nsec = static_cast<long>((ms % 1000) * 1000000);
-    ::nanosleep(&ts, nullptr);
-}
-
 /** mkdir -p (each component; EEXIST is success). */
 void
 makeDirs(const std::string &path)
@@ -88,6 +85,33 @@ parsePid(const std::string &text)
     return static_cast<pid_t>(*v);
 }
 
+/** An owned pidfd: readable once its process has exited. -1 when
+ * pidfd_open failed (the process is then only found by waitpid).
+ * The raw syscall, because glibc 2.36's <sys/pidfd.h> declares
+ * pidfd_open without C linkage, so C++ callers fail to link. */
+class PidFd
+{
+  public:
+    explicit PidFd(pid_t pid)
+        : fd_(static_cast<int>(::syscall(SYS_pidfd_open, pid, 0)))
+    {
+    }
+    PidFd(PidFd &&other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+    ~PidFd() { reset(); }
+
+    int get() const { return fd_; }
+
+    void reset()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        fd_ = -1;
+    }
+
+  private:
+    int fd_ = -1;
+};
+
 /** A coordinator-side handle on one forked worker. */
 struct WorkerProc
 {
@@ -97,8 +121,25 @@ struct WorkerProc
      * (".spill") its atomic publish rename. */
     std::string part;
     std::string spill;
+    /** Watched by waitForExit; closed when the worker is reaped,
+     * because a reaped worker's pidfd stays readable for good and
+     * polling it would spin. */
+    PidFd pidfd;
     bool alive = true;
 };
+
+/** Sleep up to @p ms, waking early when an unreaped worker exits.
+ * With no pidfd to watch, this is a plain sleep. */
+void
+waitForExit(const std::vector<WorkerProc> &procs, uint64_t ms)
+{
+    std::vector<struct pollfd> fds;
+    for (const auto &proc : procs) {
+        if (proc.pidfd.get() >= 0)
+            fds.push_back({proc.pidfd.get(), POLLIN, 0});
+    }
+    ::poll(fds.data(), fds.size(), static_cast<int>(ms));
+}
 
 uint64_t
 makeRunId()
@@ -361,14 +402,10 @@ FabricRunner::run()
             // logic (or gtest's atexit handlers) — _exit directly.
             ::_exit(detail::runWorkerProcess(queue, cells, id, dir));
         }
-        WorkerProc proc;
-        proc.pid = child;
-        proc.id = id;
-        proc.part = dir + "/w" + std::to_string(id) + "-" +
-                    std::to_string(child) + ".part";
-        proc.spill = dir + "/w" + std::to_string(id) + "-" +
-                     std::to_string(child) + ".spill";
-        procs.push_back(std::move(proc));
+        const std::string stem = dir + "/w" + std::to_string(id) +
+                                 "-" + std::to_string(child);
+        procs.push_back(
+            {child, id, stem + ".part", stem + ".spill", PidFd(child)});
         ++spawns;
         return true;
     };
@@ -383,8 +420,10 @@ FabricRunner::run()
             if (!proc.alive)
                 continue;
             int status = 0;
-            if (::waitpid(proc.pid, &status, WNOHANG) == proc.pid)
+            if (::waitpid(proc.pid, &status, WNOHANG) == proc.pid) {
                 proc.alive = false;
+                proc.pidfd.reset();
+            }
         }
     };
 
@@ -457,7 +496,10 @@ FabricRunner::run()
             }
         }
 
-        sleepMs(poll_ms);
+        // Wake for the next pass when a worker exits (the queue
+        // completed, or a worker died) or after poll_ms, so lease
+        // reclaim and respawn still run at that cadence.
+        waitForExit(procs, poll_ms);
     }
 
     // Drain: give workers a moment to publish and exit; SIGKILL
@@ -470,9 +512,10 @@ FabricRunner::run()
         bool any = false;
         for (const auto &proc : procs)
             any = any || proc.alive;
-        if (!any || monotonicMs() >= grace_end)
+        const uint64_t now = monotonicMs();
+        if (!any || now >= grace_end)
             break;
-        sleepMs(2);
+        waitForExit(procs, std::min(poll_ms, grace_end - now));
     }
     for (auto &proc : procs) {
         if (!proc.alive)

@@ -8,11 +8,16 @@
  * but stops renewing once the cell has been running longer than
  * FVC_JOB_TIMEOUT_MS — letting the lease lapse is precisely how a
  * wedged job gets killed and re-queued, which is the reclaim the
- * thread backend's watchdog can only report.
+ * thread backend's watchdog can only report. The heartbeat waits on
+ * its stop token, so once the queue completes the worker publishes
+ * its spill and exits at once, whatever the lease period.
  */
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <unordered_set>
 
@@ -135,13 +140,21 @@ runWorkerProcess(SharedQueue &queue,
     // Heartbeat: renew the in-flight cell's lease at a quarter of
     // the lease period. Stops renewing once the cell has run past
     // FVC_JOB_TIMEOUT_MS, so a wedged simulation loses its lease
-    // and gets killed + re-queued by the coordinator.
+    // and gets killed + re-queued by the coordinator. The wait
+    // returns early on request_stop(), so joining it never waits
+    // out a period.
     std::atomic<size_t> active{SIZE_MAX};
     std::atomic<uint64_t> started_ms{0};
     std::jthread heartbeat([&](std::stop_token token) {
-        const uint64_t period = std::max<uint64_t>(lease_ms / 4, 5);
-        while (!token.stop_requested()) {
-            sleepMs(period);
+        const std::chrono::milliseconds period(
+            std::max<uint64_t>(lease_ms / 4, 5));
+        std::mutex mutex;
+        std::condition_variable_any wake;
+        std::unique_lock lock(mutex);
+        for (;;) {
+            wake.wait_for(lock, token, period, [] { return false; });
+            if (token.stop_requested())
+                return;
             size_t i = active.load(std::memory_order_acquire);
             if (i == SIZE_MAX)
                 continue;

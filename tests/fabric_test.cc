@@ -147,6 +147,19 @@ runFabric(const std::vector<fb::CellSpec> &cells,
     return runner.run();
 }
 
+/** Entries in /proc/self/fd: this process's open descriptors. */
+size_t
+openFdCount()
+{
+    size_t count = 0;
+    if (DIR *d = ::opendir("/proc/self/fd")) {
+        while (struct dirent *entry = ::readdir(d))
+            count += entry->d_name[0] != '.';
+        ::closedir(d);
+    }
+    return count;
+}
+
 void
 expectMatchesSerial(
     const std::vector<std::optional<fb::CellStats>> &results,
@@ -504,18 +517,33 @@ TEST(FabricTest, MatchesSerialAcrossWorkerCounts)
 {
     auto cells = matrixCells();
     auto serial = serialReference(cells);
-    for (unsigned workers : {1u, 2u, 4u}) {
-        TempDir dir;
-        fb::FabricOptions options;
-        options.workers = workers;
-        options.dir = dir.path();
-        auto outcome = runFabric(cells, options);
-        EXPECT_TRUE(outcome.ok());
-        EXPECT_TRUE(outcome.failures.empty());
-        EXPECT_EQ(outcome.simulated, cells.size());
-        expectMatchesSerial(outcome.results, serial);
-        for (size_t i = 0; i < cells.size(); ++i)
-            EXPECT_EQ(outcome.meta[i].run_id, outcome.run_id);
+    // 0 is the default lease. At 8000 ms the heartbeat period
+    // (lease/4) outlasts the coordinator's 500 ms drain grace, so a
+    // worker whose heartbeat cannot be stopped gets SIGKILLed at
+    // the end of a healthy run.
+    for (uint64_t lease_ms : {uint64_t{0}, uint64_t{8000}}) {
+        for (unsigned workers : {1u, 2u, 4u}) {
+            SCOPED_TRACE("lease_ms=" + std::to_string(lease_ms) +
+                         " workers=" + std::to_string(workers));
+            TempDir dir;
+            fb::FabricOptions options;
+            options.workers = workers;
+            options.lease_ms = lease_ms;
+            options.dir = dir.path();
+            const size_t fds = openFdCount();
+            auto outcome = runFabric(cells, options);
+            EXPECT_EQ(openFdCount(), fds) << "leaked a descriptor";
+            EXPECT_TRUE(outcome.ok());
+            EXPECT_TRUE(outcome.failures.empty());
+            EXPECT_EQ(outcome.simulated, cells.size());
+            expectMatchesSerial(outcome.results, serial);
+            for (size_t i = 0; i < cells.size(); ++i)
+                EXPECT_EQ(outcome.meta[i].run_id, outcome.run_id);
+            // Fault-free: nobody hangs, dies, or outlives the drain.
+            EXPECT_EQ(outcome.kills, 0u);
+            EXPECT_EQ(outcome.reclaims, 0u);
+            EXPECT_EQ(outcome.respawns, 0u);
+        }
     }
 }
 

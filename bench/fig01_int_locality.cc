@@ -9,8 +9,8 @@
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "profiling/access_profiler.hh"
 #include "profiling/occurrence_sampler.hh"
+#include "profiling/value_table.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "workload/generator.hh"
@@ -38,7 +38,7 @@ main()
         auto profile = workload::specIntProfile(bench);
         workload::SyntheticWorkload gen(profile, accesses, 61);
 
-        profiling::AccessProfiler accessed({1});
+        profiling::ValueCounterTable accessed;
         // The paper samples occupancy every 10M instructions; our
         // traces are shorter, so sample 8 times over the run.
         uint64_t interval =
@@ -47,18 +47,18 @@ main()
 
         trace::MemRecord rec;
         while (gen.next(rec)) {
-            accessed.observe(rec);
-            if (rec.isAccess())
-                occurring.maybeSample(gen.memory(), rec.icount);
+            if (!rec.isAccess())
+                continue;
+            accessed.add(rec.value);
+            occurring.maybeSample(gen.memory(), rec.icount);
         }
         occurring.sample(gen.memory(), gen.currentIcount());
 
         auto accPercent = [&](size_t k) {
             return util::fixedStr(
                 100.0 *
-                    static_cast<double>(
-                        accessed.table().topKMass(k)) /
-                    static_cast<double>(accessed.table().total()),
+                    static_cast<double>(accessed.topKMass(k)) /
+                    static_cast<double>(accessed.total()),
                 1);
         };
         auto occPercent = [&](size_t k) {

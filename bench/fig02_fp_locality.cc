@@ -9,8 +9,8 @@
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "profiling/access_profiler.hh"
 #include "profiling/occurrence_sampler.hh"
+#include "profiling/value_table.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "workload/generator.hh"
@@ -36,14 +36,15 @@ main()
         auto profile = workload::specFpProfile(name);
         workload::SyntheticWorkload gen(profile, accesses, 62);
 
-        profiling::AccessProfiler accessed({1});
+        profiling::ValueCounterTable accessed;
         profiling::OccurrenceSampler occurring(accesses * 3 / 6);
 
         trace::MemRecord rec;
         while (gen.next(rec)) {
-            accessed.observe(rec);
-            if (rec.isAccess())
-                occurring.maybeSample(gen.memory(), rec.icount);
+            if (!rec.isAccess())
+                continue;
+            accessed.add(rec.value);
+            occurring.maybeSample(gen.memory(), rec.icount);
         }
         occurring.sample(gen.memory(), gen.currentIcount());
 
@@ -56,9 +57,8 @@ main()
              occPercent(10),
              util::fixedStr(
                  100.0 *
-                     static_cast<double>(
-                         accessed.table().topKMass(10)) /
-                     static_cast<double>(accessed.table().total()),
+                     static_cast<double>(accessed.topKMass(10)) /
+                     static_cast<double>(accessed.total()),
                  1)});
     }
     table.exportCsv("fig02_fp_locality");

@@ -11,8 +11,8 @@
 #include "cache/cache_system.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "profiling/access_profiler.hh"
 #include "profiling/occurrence_sampler.hh"
+#include "profiling/value_table.hh"
 #include "util/stats.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -42,21 +42,21 @@ main()
 
         // Pass 1: profile the occurring and accessed value sets.
         workload::SyntheticWorkload prof_gen(profile, accesses, 64);
-        profiling::AccessProfiler accessed({1});
+        profiling::ValueCounterTable accessed;
         profiling::OccurrenceSampler occurring(accesses);
         trace::MemRecord rec;
         while (prof_gen.next(rec)) {
-            accessed.observe(rec);
-            if (rec.isAccess())
-                occurring.maybeSample(prof_gen.memory(),
-                                      rec.icount);
+            if (!rec.isAccess())
+                continue;
+            accessed.add(rec.value);
+            occurring.maybeSample(prof_gen.memory(), rec.icount);
         }
         occurring.sample(prof_gen.memory(),
                          prof_gen.currentIcount());
 
         std::unordered_set<trace::Word> top_accessed,
             top_occurring;
-        for (const auto &vc : accessed.table().topK(10))
+        for (const auto &vc : accessed.topK(10))
             top_accessed.insert(vc.value);
         for (const auto &vc : occurring.cumulative().topK(10))
             top_occurring.insert(vc.value);

@@ -9,8 +9,8 @@
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "profiling/access_profiler.hh"
 #include "profiling/occurrence_sampler.hh"
+#include "profiling/value_table.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "workload/generator.hh"
@@ -32,20 +32,21 @@ main()
     for (auto bench : workload::fvSpecInt()) {
         auto profile = workload::specIntProfile(bench);
         workload::SyntheticWorkload gen(profile, accesses, 66);
-        profiling::AccessProfiler accessed({1});
+        profiling::ValueCounterTable accessed;
         profiling::OccurrenceSampler occurring(accesses);
         trace::MemRecord rec;
         while (gen.next(rec)) {
-            accessed.observe(rec);
-            if (rec.isAccess())
-                occurring.maybeSample(gen.memory(), rec.icount);
+            if (!rec.isAccess())
+                continue;
+            accessed.add(rec.value);
+            occurring.maybeSample(gen.memory(), rec.icount);
         }
         occurring.sample(gen.memory(), gen.currentIcount());
 
         harness::section(profile.name);
         util::Table table({"rank", "accessed", "occurring"});
         table.alignRight(0);
-        auto acc = accessed.table().topK(10);
+        auto acc = accessed.topK(10);
         auto occ = occurring.cumulative().topK(10);
         for (size_t i = 0; i < 10; ++i) {
             table.addRow(

@@ -30,6 +30,7 @@
 #include "trace/trace_file.hh"
 #include "core/dmc_fvc_system.hh"
 #include "harness/runner.hh"
+#include "profiling/value_table.hh"
 #include "timing/access_time.hh"
 #include "timing/energy.hh"
 #include "util/bitops.hh"
@@ -142,16 +143,18 @@ loadTraceFile(const std::string &path)
     out.name = reader.header().workload[0]
         ? reader.header().workload
         : path;
-    profiling::AccessProfiler profiler({1});
+    profiling::ValueCounterTable accessed;
     trace::MemRecord rec;
     while (reader.next(rec)) {
         out.columns.append(rec);
-        profiler.observe(rec);
+        if (rec.isAccess())
+            accessed.add(rec.value);
         if (rec.isStore())
             out.final_image.write(rec.addr, rec.value);
     }
     out.instructions = reader.header().instruction_count;
-    out.frequent_values = profiler.topKValues(10);
+    for (const auto &vc : accessed.topK(10))
+        out.frequent_values.push_back(vc.value);
     return out;
 }
 

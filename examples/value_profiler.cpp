@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "profiling/access_profiler.hh"
 #include "profiling/constancy.hh"
 #include "profiling/occurrence_sampler.hh"
+#include "profiling/value_table.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "workload/generator.hh"
@@ -35,32 +35,33 @@ main(int argc, char **argv)
         auto profile = workload::specIntProfile(bench);
         workload::SyntheticWorkload gen(profile, accesses, 7);
 
-        profiling::AccessProfiler accessed({1});
+        profiling::ValueCounterTable accessed;
         profiling::OccurrenceSampler occurring(500000);
         profiling::ConstancyTracker constancy(&gen.initialImage());
 
         trace::MemRecord rec;
         while (gen.next(rec)) {
-            accessed.observe(rec);
             constancy.observe(rec);
-            if (rec.isAccess())
-                occurring.maybeSample(gen.memory(), rec.icount);
+            if (!rec.isAccess())
+                continue;
+            accessed.add(rec.value);
+            occurring.maybeSample(gen.memory(), rec.icount);
         }
         occurring.sample(gen.memory(), gen.currentIcount());
 
         double acc10 = 100.0 *
-            static_cast<double>(accessed.table().topKMass(10)) /
-            static_cast<double>(accessed.table().total());
+            static_cast<double>(accessed.topKMass(10)) /
+            static_cast<double>(accessed.total());
         double occ10 = 100.0 * occurring.averageTopKFraction(10);
 
         std::vector<std::string> tops;
-        for (const auto &vc : accessed.table().topK(5))
+        for (const auto &vc : accessed.topK(5))
             tops.push_back(util::hex32(vc.value));
 
         table.addRow({profile.name, util::fixedStr(acc10, 1),
                       util::fixedStr(occ10, 1),
                       util::fixedStr(constancy.constantPercent(), 1),
-                      util::withCommas(accessed.table().distinct()),
+                      util::withCommas(accessed.distinct()),
                       util::join(tops, " ")});
     }
     std::printf("%s", table.render().c_str());

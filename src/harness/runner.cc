@@ -5,12 +5,25 @@
 #include <thread>
 
 #include "harness/parallel.hh"
+#include "profiling/value_table.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace fvc::harness {
 
 namespace {
+
+/** The @p top_k most accessed values, most frequent first (ties by
+ * ascending value). */
+std::vector<trace::Word>
+frequentValues(const profiling::ValueCounterTable &accessed,
+               size_t top_k)
+{
+    std::vector<trace::Word> out;
+    for (const auto &vc : accessed.topK(top_k))
+        out.push_back(vc.value);
+    return out;
+}
 
 /** Serial generation: the classic single-stream path. */
 PreparedTrace
@@ -21,15 +34,16 @@ prepareTraceSerial(const workload::BenchmarkProfile &profile,
     out.name = profile.name;
 
     workload::SyntheticWorkload gen(profile, accesses, seed);
-    profiling::AccessProfiler profiler({1});
+    profiling::ValueCounterTable accessed;
 
     trace::MemRecord rec;
     while (gen.next(rec)) {
         out.columns.append(rec);
-        profiler.observe(rec);
+        if (rec.isAccess())
+            accessed.add(rec.value);
     }
     out.instructions = gen.currentIcount();
-    out.frequent_values = profiler.topKValues(top_k);
+    out.frequent_values = frequentValues(accessed, top_k);
     out.initial_image = gen.initialImage();
     out.final_image = gen.memory();
     return out;
@@ -124,13 +138,14 @@ prepareTraceSharded(const workload::BenchmarkProfile &profile,
     // instruction clock, images union page-disjoint address bands.
     PreparedTrace out;
     out.name = profile.name;
-    profiling::AccessProfiler profiler({1});
+    profiling::ValueCounterTable accessed;
     uint64_t icount_base = 0;
     for (ShardOutput &shard : outputs) {
         for (trace::MemRecord rec : shard.records) {
             rec.icount += icount_base;
             out.columns.append(rec);
-            profiler.observe(rec);
+            if (rec.isAccess())
+                accessed.add(rec.value);
         }
         icount_base += shard.instructions;
         out.initial_image.mergeDisjointFrom(shard.initial_image);
@@ -139,7 +154,7 @@ prepareTraceSharded(const workload::BenchmarkProfile &profile,
         shard.records.shrink_to_fit();
     }
     out.instructions = icount_base;
-    out.frequent_values = profiler.topKValues(top_k);
+    out.frequent_values = frequentValues(accessed, top_k);
     return out;
 }
 

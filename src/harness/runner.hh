@@ -15,7 +15,6 @@
 
 #include "cache/cache_system.hh"
 #include "core/dmc_fvc_system.hh"
-#include "profiling/access_profiler.hh"
 #include "sim/chunked_trace.hh"
 #include "workload/generator.hh"
 
@@ -51,8 +50,10 @@ struct PreparedTrace
 };
 
 /**
- * Generate @p accesses records of @p profile, profile the accessed
- * values, and keep the records for replay.
+ * Generate @p accesses records of @p profile, count the value of
+ * every load and store, and keep the records for replay along with
+ * the @p top_k most accessed values (most frequent first, ties
+ * broken by ascending value).
  *
  * The paper finds frequent values via a profiling run and then
  * fixes them for the cache experiment; using the same trace for

@@ -17,6 +17,11 @@ namespace fvc::profiling {
 /**
  * Counts the values involved in every load and store, and records
  * when the identity and ordering of the top-k sets last changed.
+ *
+ * The stability tracking re-ranks the whole value table every
+ * kCheckInterval accesses, which costs far more than the counting.
+ * Table 3 (tab03_stability) is its one consumer; code that needs
+ * only counts or a final top-k uses a ValueCounterTable directly.
  */
 class AccessProfiler
 {

@@ -6,27 +6,69 @@
 
 namespace fvc::profiling {
 
-void
-ValueCounterTable::add(Word value, uint64_t weight)
+namespace {
+
+/** The first allocation holds 2^kMinBits slots. */
+constexpr unsigned kMinBits = 6;
+
+} // namespace
+
+size_t
+ValueCounterTable::find(Word value) const
 {
-    counts_[value] += weight;
-    total_ += weight;
+    // Multiplicative (Fibonacci) hash: the top bits_ bits of
+    // value * 2^64/phi, which mix every bit of the value.
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(value) * 0x9E3779B97F4A7C15ull) >>
+        (64 - bits_));
+    while (slots_[i].count != 0 && slots_[i].value != value)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+ValueCounterTable::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    bits_ = old.empty() ? kMinBits : bits_ + 1;
+    slots_.assign(size_t{1} << bits_, Slot{});
+    for (const Slot &slot : old) {
+        if (slot.count != 0)
+            slots_[find(slot.value)] = slot;
+    }
+}
+
+void
+ValueCounterTable::add(Word value)
+{
+    // Grow before a possible insert, so the load stays <= 1/2.
+    if (2 * distinct_ >= slots_.size())
+        grow();
+    Slot &slot = slots_[find(value)];
+    if (slot.count == 0) {
+        slot.value = value;
+        ++distinct_;
+    }
+    ++slot.count;
+    ++total_;
 }
 
 uint64_t
 ValueCounterTable::countOf(Word value) const
 {
-    auto it = counts_.find(value);
-    return it == counts_.end() ? 0 : it->second;
+    return slots_.empty() ? 0 : slots_[find(value)].count;
 }
 
 std::vector<ValueCount>
 ValueCounterTable::topK(size_t k) const
 {
     std::vector<ValueCount> all;
-    all.reserve(counts_.size());
-    for (const auto &[value, count] : counts_)
-        all.push_back({value, count});
+    all.reserve(distinct_);
+    for (const Slot &slot : slots_) {
+        if (slot.count != 0)
+            all.push_back({slot.value, slot.count});
+    }
     auto cmp = [](const ValueCount &a, const ValueCount &b) {
         if (a.count != b.count)
             return a.count > b.count;
@@ -54,8 +96,7 @@ ValueCounterTable::topKMass(size_t k) const
 void
 ValueCounterTable::clear()
 {
-    counts_.clear();
-    total_ = 0;
+    *this = ValueCounterTable();
 }
 
 SpaceSavingSketch::SpaceSavingSketch(size_t capacity)

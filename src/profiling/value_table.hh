@@ -29,7 +29,15 @@ struct ValueCount
 };
 
 /**
- * Exact value-frequency counter backed by a hash map.
+ * Exact value-frequency counter in a flat open-addressing table.
+ *
+ * One array of 16-byte (count, value) slots, power-of-two sized,
+ * probed linearly from a multiplicative hash of the value. A zero
+ * count marks a free slot (every stored value has been added at
+ * least once), and the table doubles before it is more than half
+ * full, so past its first 64 slots it holds 2-4 slots (32-64
+ * bytes) per distinct value. A count is one probe into one cache
+ * line in the common case, with no per-value allocation.
  *
  * Memory grows with the number of distinct values; the synthetic
  * workloads keep that bounded, and the paper's own study also
@@ -38,11 +46,11 @@ struct ValueCount
 class ValueCounterTable
 {
   public:
-    /** Add @p weight observations of @p value. */
-    void add(Word value, uint64_t weight = 1);
+    /** Count one observation of @p value. */
+    void add(Word value);
 
     /** Number of distinct values seen. */
-    uint64_t distinct() const { return counts_.size(); }
+    uint64_t distinct() const { return distinct_; }
 
     /** Total observations. */
     uint64_t total() const { return total_; }
@@ -62,7 +70,23 @@ class ValueCounterTable
     void clear();
 
   private:
-    std::unordered_map<Word, uint64_t> counts_;
+    struct Slot
+    {
+        /** 0 = free. */
+        uint64_t count = 0;
+        Word value = 0;
+    };
+
+    /** The slot holding @p value, or the free slot that ends its
+     * probe run. */
+    size_t find(Word value) const;
+    void grow();
+
+    std::vector<Slot> slots_;
+    /** Bits of the slot index: slots_.size() == 1 << bits_ once
+     * allocated. */
+    unsigned bits_ = 0;
+    uint64_t distinct_ = 0;
     uint64_t total_ = 0;
 };
 

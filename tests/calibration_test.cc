@@ -12,10 +12,10 @@
 
 #include "cache/cache_system.hh"
 #include "harness/runner.hh"
-#include "profiling/access_profiler.hh"
 #include "profiling/constancy.hh"
 #include "profiling/miss_classifier.hh"
 #include "profiling/occurrence_sampler.hh"
+#include "profiling/value_table.hh"
 #include "workload/generator.hh"
 
 namespace fh = fvc::harness;
@@ -69,21 +69,22 @@ TEST_P(CalibrationTest, LocalityAndConstancyBands)
     const Expectation &e = GetParam();
     auto profile = fw::specIntProfile(e.bench);
     fw::SyntheticWorkload gen(profile, kAccesses, 107);
-    fp::AccessProfiler accessed({1});
+    fp::ValueCounterTable accessed;
     fp::OccurrenceSampler occurring(kAccesses); // ~3 samples
     fp::ConstancyTracker constancy(&gen.initialImage());
     ft::MemRecord rec;
     while (gen.next(rec)) {
-        accessed.observe(rec);
         constancy.observe(rec);
-        if (rec.isAccess())
-            occurring.maybeSample(gen.memory(), rec.icount);
+        if (!rec.isAccess())
+            continue;
+        accessed.add(rec.value);
+        occurring.maybeSample(gen.memory(), rec.icount);
     }
     occurring.sample(gen.memory(), gen.currentIcount());
 
     double acc = 100.0 *
-                 static_cast<double>(accessed.table().topKMass(10)) /
-                 static_cast<double>(accessed.table().total());
+                 static_cast<double>(accessed.topKMass(10)) /
+                 static_cast<double>(accessed.total());
     double occ = 100.0 * occurring.averageTopKFraction(10);
     double con = constancy.constantPercent();
 
@@ -160,14 +161,16 @@ TEST(FpCalibrationTest, FpSuiteShowsLocality)
     for (const auto &name : fw::allSpecFpNames()) {
         auto profile = fw::specFpProfile(name);
         fw::SyntheticWorkload gen(profile, 60000, 110);
-        fp::AccessProfiler accessed({1});
+        fp::ValueCounterTable accessed;
         ft::MemRecord rec;
-        while (gen.next(rec))
-            accessed.observe(rec);
+        while (gen.next(rec)) {
+            if (rec.isAccess())
+                accessed.add(rec.value);
+        }
         double acc =
             100.0 *
-            static_cast<double>(accessed.table().topKMass(10)) /
-            static_cast<double>(accessed.table().total());
+            static_cast<double>(accessed.topKMass(10)) /
+            static_cast<double>(accessed.total());
         EXPECT_GT(acc, 40.0) << name;
         EXPECT_LT(acc, 90.0) << name;
     }

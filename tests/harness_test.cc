@@ -8,11 +8,13 @@
 
 #include "harness/paper_data.hh"
 #include "harness/runner.hh"
+#include "profiling/access_profiler.hh"
 
 namespace fh = fvc::harness;
 namespace fw = fvc::workload;
 namespace fc = fvc::cache;
 namespace co = fvc::core;
+namespace fp = fvc::profiling;
 
 TEST(RunnerTest, PrepareTraceProfilesValues)
 {
@@ -24,6 +26,37 @@ TEST(RunnerTest, PrepareTraceProfilesValues)
     EXPECT_GT(trace.instructions, 20000u);
     // 0 dominates every integer workload's accessed values.
     EXPECT_EQ(trace.frequent_values[0], 0u);
+}
+
+TEST(RunnerTest, FrequentValuesMatchAccessProfiler)
+{
+    // prepareTrace counts values itself; AccessProfiler (Table 3's
+    // stability tracker) is the reference for the same ranking.
+    constexpr uint64_t kAccesses = 20000;
+    constexpr uint64_t kSeed = 9;
+    for (auto bench : fw::allSpecInt()) {
+        auto profile = fw::specIntProfile(bench);
+
+        fw::SyntheticWorkload gen(profile, kAccesses, kSeed);
+        fp::AccessProfiler serial_ref({1});
+        fvc::trace::MemRecord rec;
+        while (gen.next(rec))
+            serial_ref.observe(rec);
+        EXPECT_EQ(fh::prepareTrace(profile, kAccesses, kSeed, 10)
+                      .frequent_values,
+                  serial_ref.topKValues(10))
+            << profile.name;
+
+        auto sharded =
+            fh::prepareTraceSharded(profile, kAccesses, kSeed, 10, 4);
+        fp::AccessProfiler sharded_ref({1});
+        sharded.columns.forEachRecord(
+            [&](const fvc::trace::MemRecord &r) {
+                sharded_ref.observe(r);
+            });
+        EXPECT_EQ(sharded.frequent_values, sharded_ref.topKValues(10))
+            << profile.name;
+    }
 }
 
 TEST(RunnerTest, ReplayInstallsInitialImage)

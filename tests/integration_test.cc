@@ -9,10 +9,10 @@
 
 #include "cache/victim_cache.hh"
 #include "harness/runner.hh"
-#include "profiling/access_profiler.hh"
 #include "profiling/constancy.hh"
 #include "profiling/occurrence_sampler.hh"
 #include "profiling/uniformity.hh"
+#include "profiling/value_table.hh"
 #include "timing/access_time.hh"
 #include "workload/generator.hh"
 
@@ -39,22 +39,23 @@ characterize(fw::SpecInt bench)
 {
     auto profile = fw::specIntProfile(bench);
     fw::SyntheticWorkload gen(profile, kAccesses, 51);
-    fp::AccessProfiler accessed({1});
+    fp::ValueCounterTable accessed;
     fp::OccurrenceSampler occurring(300000);
     fp::ConstancyTracker constancy(&gen.initialImage());
     ft::MemRecord rec;
     while (gen.next(rec)) {
-        accessed.observe(rec);
         constancy.observe(rec);
-        if (rec.isAccess())
-            occurring.maybeSample(gen.memory(), rec.icount);
+        if (!rec.isAccess())
+            continue;
+        accessed.add(rec.value);
+        occurring.maybeSample(gen.memory(), rec.icount);
     }
     occurring.sample(gen.memory(), gen.currentIcount());
     LocalityResult out;
     out.accessed_top10 =
         100.0 *
-        static_cast<double>(accessed.table().topKMass(10)) /
-        static_cast<double>(accessed.table().total());
+        static_cast<double>(accessed.topKMass(10)) /
+        static_cast<double>(accessed.total());
     out.occurring_top10 =
         100.0 * occurring.averageTopKFraction(10);
     out.constant_percent = constancy.constantPercent();
@@ -103,7 +104,6 @@ TEST(Figure5Integration, FrequentValuesSpreadUniformly)
     ft::MemRecord rec;
     while (gen.next(rec)) {
     }
-    fp::AccessProfiler accessed({1});
     // Use the pool's nominal top-7 for the snapshot study.
     std::vector<ft::Word> top7;
     for (const auto &wv :

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "memmodel/functional_memory.hh"
 #include "profiling/access_profiler.hh"
 #include "profiling/constancy.hh"
@@ -59,6 +63,96 @@ TEST(ValueCounterTableTest, DeterministicTieBreak)
     EXPECT_EQ(top[0].value, 3u);
     EXPECT_EQ(top[1].value, 5u);
     EXPECT_EQ(top[2].value, 9u);
+}
+
+namespace {
+
+/** Checks @p table against an ordered-map count of the same
+ * stream: totals, every count, absent values and every ranking. */
+void
+expectMatchesReference(const fp::ValueCounterTable &table,
+                       const std::map<ft::Word, uint64_t> &ref,
+                       fvc::util::Rng &rng)
+{
+    uint64_t total = 0;
+    for (const auto &[value, count] : ref) {
+        total += count;
+        ASSERT_EQ(table.countOf(value), count) << value;
+    }
+    EXPECT_EQ(table.total(), total);
+    EXPECT_EQ(table.distinct(), ref.size());
+    for (int i = 0; i < 1000; ++i) {
+        const ft::Word absent = rng.next32();
+        if (!ref.count(absent)) {
+            EXPECT_EQ(table.countOf(absent), 0u) << absent;
+        }
+    }
+
+    // The reference ranking: by count, ties by ascending value (the
+    // map iterates in ascending value; the sort is stable).
+    std::vector<fp::ValueCount> ranked;
+    for (const auto &[value, count] : ref)
+        ranked.push_back({value, count});
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const fp::ValueCount &a,
+                        const fp::ValueCount &b) {
+                         return a.count > b.count;
+                     });
+    for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{7},
+                     size_t{10}, ref.size(), ref.size() + 5}) {
+        const size_t n = std::min(k, ranked.size());
+        const std::vector<fp::ValueCount> want(ranked.begin(),
+                                               ranked.begin() + n);
+        EXPECT_EQ(table.topK(k), want) << "k=" << k;
+        uint64_t mass = 0;
+        for (const auto &vc : want)
+            mass += vc.count;
+        EXPECT_EQ(table.topKMass(k), mass) << "k=" << k;
+    }
+}
+
+/** A shuffled stream with 0 and 0xFFFFFFFF, a 12-way tie at the
+ * top, a 50-way tie below it, and >= 100k mostly-once values. */
+std::vector<ft::Word>
+tiedStream(fvc::util::Rng &rng, size_t tail)
+{
+    std::vector<ft::Word> hot = {0, 0xFFFFFFFFu};
+    while (hot.size() < 12)
+        hot.push_back(rng.next32());
+    std::vector<ft::Word> stream;
+    for (ft::Word v : hot)
+        stream.insert(stream.end(), 40, v);
+    for (int i = 0; i < 50; ++i)
+        stream.insert(stream.end(), 7, rng.next32());
+    for (size_t i = 0; i < tail; ++i)
+        stream.push_back(rng.next32());
+    for (size_t i = stream.size() - 1; i > 0; --i)
+        std::swap(stream[i], stream[rng.below(i + 1)]);
+    return stream;
+}
+
+} // namespace
+
+TEST(ValueCounterTableTest, MatchesOrderedReference)
+{
+    fvc::util::Rng rng(17);
+    fp::ValueCounterTable table;
+    for (size_t tail : {size_t{120000}, size_t{30000}}) {
+        std::map<ft::Word, uint64_t> ref;
+        for (ft::Word v : tiedStream(rng, tail)) {
+            table.add(v);
+            ++ref[v];
+        }
+        ASSERT_GE(ref.size(), tail * 9 / 10);
+        expectMatchesReference(table, ref, rng);
+
+        // Reuse after clear() starts from empty.
+        table.clear();
+        EXPECT_EQ(table.total(), 0u);
+        EXPECT_EQ(table.distinct(), 0u);
+        EXPECT_EQ(table.countOf(0), 0u);
+        EXPECT_TRUE(table.topK(10).empty());
+    }
 }
 
 TEST(SpaceSavingTest, FindsHeavyHitters)

@@ -420,9 +420,17 @@ FabricRunner::run()
             if (!proc.alive)
                 continue;
             int status = 0;
-            if (::waitpid(proc.pid, &status, WNOHANG) == proc.pid) {
-                proc.alive = false;
-                proc.pidfd.reset();
+            if (::waitpid(proc.pid, &status, WNOHANG) != proc.pid)
+                continue;
+            proc.alive = false;
+            proc.pidfd.reset();
+            // The death is known now: requeue the dead worker's
+            // leases instead of waiting out their deadlines. The
+            // pid-checked release leaves a lease a peer stole alone.
+            const auto pid = static_cast<uint32_t>(proc.pid);
+            for (size_t i = 0; i < n; ++i) {
+                if (queue.releaseFailed(i, pid))
+                    ++out.reclaims;
             }
         }
     };

@@ -1,8 +1,10 @@
 #include "resultcache/repository.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
+#include <iterator>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -36,6 +38,59 @@ singlePassEligible(const fabric::CellSpec &cell)
 {
     return cell.dmc.write_policy == cache::WritePolicy::WriteBack &&
            cell.victim_entries == 0 && !cell.has_l2;
+}
+
+/** The plan splits lane units until it holds this many units per
+ * pool thread: finer splits repeat more per-block encode work than
+ * the idle time they save. */
+constexpr size_t kUnitsPerThread = 2;
+
+/** The smallest lane unit the plan splits. */
+constexpr size_t kMinSplitCells = 4;
+
+/** Lane-group order: cells adjacent in it share MultiConfigSimulator
+ * lane groups and frequent-value encoders, so each half of a split
+ * builds fewer of them and a bare-only half skips the shared image. */
+auto
+laneGroupKey(const fabric::CellSpec &cell)
+{
+    return std::make_tuple(cell.has_fvc,
+                           cell.has_fvc ? cell.fvc.code_bits : 0u,
+                           cell.dmc.line_bytes, cell.dmc.assoc);
+}
+
+/** Split lane unit @p unit (at least two cells) in two: order its
+ * cells by lane-group key, cut where the head's cost is closest to
+ * half, keep the head in @p unit and return the tail. */
+DispatchUnit
+splitLaneUnit(DispatchUnit &unit,
+              const std::vector<fabric::CellSpec> &cells)
+{
+    std::stable_sort(unit.cells.begin(), unit.cells.end(),
+                     [&](size_t a, size_t b) {
+                         return laneGroupKey(cells[a]) <
+                                laneGroupKey(cells[b]);
+                     });
+    const auto gap = [total = unit.cost](uint64_t head) {
+        return head * 2 > total ? head * 2 - total : total - head * 2;
+    };
+    size_t cut = 1;
+    uint64_t head = cellCost(cells[unit.cells[0]]);
+    while (cut + 1 < unit.cells.size()) {
+        const uint64_t next = head + cellCost(cells[unit.cells[cut]]);
+        if (gap(next) >= gap(head))
+            break;
+        head = next;
+        ++cut;
+    }
+    DispatchUnit tail;
+    tail.cells.assign(unit.cells.begin() + cut, unit.cells.end());
+    tail.cost = unit.cost - head;
+    tail.trace = unit.trace;
+    tail.lane = true;
+    unit.cells.resize(cut);
+    unit.cost = head;
+    return tail;
 }
 
 /** Simulate one trace-sharing group through the single-pass
@@ -146,6 +201,65 @@ cellCost(const fabric::CellSpec &cell)
            (cell.has_l2 ? cell.l2.size_bytes / 64 : 0);
 }
 
+std::vector<DispatchUnit>
+planDispatch(const std::vector<fabric::CellSpec> &cells,
+             unsigned threads)
+{
+    std::vector<DispatchUnit> units;
+    std::unordered_map<uint64_t, size_t> lane_unit_of_trace;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const uint64_t cost = cellCost(cells[i]);
+        const uint64_t trace = fabric::cellTraceHash(cells[i]);
+        if (!singlePassEligible(cells[i])) {
+            units.push_back({{i}, cost, trace, false});
+            continue;
+        }
+        auto [it, fresh] =
+            lane_unit_of_trace.try_emplace(trace, units.size());
+        if (fresh)
+            units.push_back({{}, 0, trace, true});
+        units[it->second].cells.push_back(i);
+        units[it->second].cost += cost;
+    }
+
+    // Split the costliest lane unit while the pool would idle. The
+    // tail goes right after its head, so equal-cost units keep the
+    // submission order of the groups they came from.
+    while (threads > 1 && units.size() < kUnitsPerThread * threads) {
+        size_t costliest = units.size();
+        for (size_t u = 0; u < units.size(); ++u) {
+            if (units[u].lane &&
+                units[u].cells.size() >= kMinSplitCells &&
+                (costliest == units.size() ||
+                 units[u].cost > units[costliest].cost))
+                costliest = u;
+        }
+        if (costliest == units.size())
+            break;
+        DispatchUnit tail = splitLaneUnit(units[costliest], cells);
+        units.insert(units.begin() + costliest + 1, std::move(tail));
+    }
+
+    std::stable_sort(units.begin(), units.end(),
+                     [](const DispatchUnit &a, const DispatchUnit &b) {
+                         return a.cost > b.cost;
+                     });
+
+    // Each trace's first unit ahead of every later unit, both parts
+    // still longest first.
+    std::vector<DispatchUnit> plan, later;
+    std::unordered_set<uint64_t> started;
+    for (auto &unit : units) {
+        if (started.insert(unit.trace).second)
+            plan.push_back(std::move(unit));
+        else
+            later.push_back(std::move(unit));
+    }
+    plan.insert(plan.end(), std::make_move_iterator(later.begin()),
+                std::make_move_iterator(later.end()));
+    return plan;
+}
+
 std::vector<std::optional<fabric::CellStats>>
 ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
                            const std::string &what)
@@ -244,63 +358,33 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
         }
         miss_results = std::move(outcome.results);
     } else if (!miss_indices.empty()) {
-        // Thread backend: group single-pass-eligible cells by their
-        // shared trace (one replay per trace covers all its cells),
-        // everything else one job per cell.
-        std::vector<size_t> grouped_slots, single_slots;
-        std::map<uint64_t, std::vector<size_t>> groups_by_trace;
-        for (size_t k = 0; k < miss_indices.size(); ++k) {
-            const auto &cell = cells[miss_indices[k]];
-            if (singlePassEligible(cell)) {
-                groups_by_trace[fabric::cellTraceHash(cell)]
-                    .push_back(k);
-            } else {
-                single_slots.push_back(k);
-            }
+        // Thread backend: the whole plan is one sweep, and a failed
+        // unit fails exactly its own cells.
+        std::vector<fabric::CellSpec> misses;
+        misses.reserve(miss_indices.size());
+        for (size_t idx : miss_indices)
+            misses.push_back(cells[idx]);
+        const auto plan = planDispatch(
+            misses, harness::ThreadPool::shared().threadCount());
+        harness::SweepRunner<std::vector<fabric::CellStats>> sweep;
+        for (const auto &unit : plan) {
+            std::vector<fabric::CellSpec> group;
+            group.reserve(unit.cells.size());
+            for (size_t k : unit.cells)
+                group.push_back(misses[k]);
+            sweep.submit([group = std::move(group), lane = unit.lane] {
+                if (lane)
+                    return runGroup(group);
+                return std::vector<fabric::CellStats>{
+                    fabric::simulateCell(group.front())};
+            });
         }
-
-        if (!groups_by_trace.empty()) {
-            harness::SweepRunner<std::vector<fabric::CellStats>>
-                sweep;
-            for (const auto &[hash, slots] : groups_by_trace) {
-                (void)hash;
-                std::vector<fabric::CellSpec> group;
-                group.reserve(slots.size());
-                for (size_t k : slots)
-                    group.push_back(cells[miss_indices[k]]);
-                sweep.submit(
-                    [group = std::move(group)] {
-                        return runGroup(group);
-                    });
-                grouped_slots.insert(grouped_slots.end(),
-                                     slots.begin(), slots.end());
-            }
-            auto results = harness::runDegraded(sweep, what);
-            size_t cursor = 0;
-            size_t g = 0;
-            for (const auto &[hash, slots] : groups_by_trace) {
-                (void)hash;
-                for (size_t j = 0; j < slots.size(); ++j) {
-                    size_t k = grouped_slots[cursor++];
-                    if (results[g])
-                        miss_results[k] = (*results[g])[j];
-                }
-                ++g;
-            }
-        }
-
-        if (!single_slots.empty()) {
-            harness::SweepRunner<fabric::CellStats> sweep;
-            for (size_t k : single_slots) {
-                fabric::CellSpec cell = cells[miss_indices[k]];
-                sweep.submit([cell = std::move(cell)] {
-                    return fabric::simulateCell(cell);
-                });
-            }
-            auto results = harness::runDegraded(sweep, what);
-            for (size_t j = 0; j < single_slots.size(); ++j)
-                miss_results[single_slots[j]] =
-                    std::move(results[j]);
+        auto results = harness::runDegraded(sweep, what);
+        for (size_t u = 0; u < plan.size(); ++u) {
+            if (!results[u])
+                continue;
+            for (size_t j = 0; j < plan[u].cells.size(); ++j)
+                miss_results[plan[u].cells[j]] = (*results[u])[j];
         }
     }
 

@@ -4,12 +4,16 @@
  * engine. Benches hand it their whole cell list; it deduplicates
  * identical cells within the sweep, serves every fingerprint the
  * persistent store already holds, and dispatches only the remaining
- * novel cells into the existing engines — the process fabric when
- * FVC_WORKERS is set, the grouped single-pass MultiConfigSimulator
- * when enabled, the per-cell thread sweep otherwise. Results are a
- * pure function of the cell spec, so a warm serve is byte-identical
- * to a fresh simulation and the rendered figures cannot tell the
- * difference.
+ * novel cells. Under FVC_WORKERS each novel cell goes to the process
+ * fabric as its own queue slot. Otherwise the thread pool runs one
+ * dispatch plan (planDispatch) as one sweep: a unit per lane group
+ * (the lane-eligible cells of one trace, replayed together by the
+ * MultiConfigSimulator lane kernel) and a unit per other cell (the
+ * per-cell full model), the costliest lane groups split while the
+ * pool would idle, longest units first. Results are a pure function
+ * of the cell spec — not of which cells share a simulator — so a
+ * warm serve and any plan are byte-identical to a fresh simulation
+ * and the rendered figures cannot tell the difference.
  *
  * Resume is a warm serve too: when FVC_FABRIC_DIR is set and the
  * store is writable, runCells first reads the spills that dead
@@ -72,9 +76,46 @@ uint64_t resultCapBytes();
 /**
  * Deterministic simulation-cost estimate of one cell: trace length
  * times a replay-work factor for the attached structures, plus a
- * geometry term. Only relative order matters (admission ranking).
+ * geometry term. Only relative order matters: it ranks admission to
+ * a size-capped store and orders the dispatch plan.
  */
 uint64_t cellCost(const fabric::CellSpec &cell);
+
+/** One job of the in-process dispatch plan. */
+struct DispatchUnit
+{
+    /** Indices into the planned cell list. A lane unit's cells are
+     * lane-eligible and share one trace; any other unit holds
+     * exactly one cell. */
+    std::vector<size_t> cells;
+    /** Sum of cellCost over the cells. */
+    uint64_t cost = 0;
+    /** The cells' trace (fabric::cellTraceHash). */
+    uint64_t trace = 0;
+    /** Replayed by one MultiConfigSimulator; otherwise the cell
+     * runs through fabric::simulateCell. */
+    bool lane = false;
+};
+
+/**
+ * The thread backend's plan for @p cells on a pool of @p threads.
+ * A lane group — the write-back cells with no victim buffer or L2
+ * that share one trace — becomes one unit, with its cells in
+ * submission order; every other cell is a unit of its own. While
+ * the plan holds fewer than 2 x threads units, the costliest lane
+ * unit of at least 4 cells is split in two: its cells are ordered
+ * by lane-group key (bare DMC first, then DMC+FVC by code width,
+ * line size and associativity) and cut where the head holds
+ * closest to half the cost. One thread never splits. Units then
+ * run longest first (a stable sort, so ties keep submission order),
+ * except that each trace's first unit moves ahead of every later
+ * unit: on a cold trace store the units that generate traces start
+ * before any unit that would wait for one. Deterministic in
+ * (cells, threads); every index appears in exactly one unit.
+ */
+std::vector<DispatchUnit>
+planDispatch(const std::vector<fabric::CellSpec> &cells,
+             unsigned threads);
 
 /**
  * The shared warm-serve layer. Thread-safe at the granularity

@@ -33,8 +33,9 @@
  * AVX-512), all bit-identical; FVC_SIMD and forceKernel() pick it.
  *
  * Determinism: cells are updated in add order on one thread; the
- * engine holds no global state. Parallelism stays at the
- * (benchmark, trace) granularity via SweepRunner.
+ * engine holds no global state. Parallelism is across simulators
+ * via SweepRunner: several may replay one immutable trace at once,
+ * each over its own subset of the trace's cells.
  */
 
 #ifndef FVC_SIM_MULTI_CONFIG_HH_

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -563,6 +564,29 @@ TEST(FabricTest, SigkillMidCellIsStolenOrReclaimed)
     // The record that survived is from the *second* attempt: the
     // first claimer died holding the lease.
     EXPECT_GE(outcome.meta[2].attempts, 2u);
+}
+
+TEST(FabricTest, DeadWorkerLeaseReclaimedAtReap)
+{
+    // The coordinator learns of a worker's death from its pidfd; the
+    // dead worker's lease must be requeued then, not when the 8 s
+    // lease expires.
+    auto cells = matrixCells();
+    auto serial = serialReference(cells);
+    TempDir dir;
+    ScopedEnv fault("FVC_FAULT_SPEC", "kill_cell=2");
+    fb::FabricOptions options;
+    options.workers = 2;
+    options.lease_ms = 8000;
+    options.dir = dir.path();
+    const auto start = std::chrono::steady_clock::now();
+    auto outcome = runFabric(cells, options);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(outcome.ok());
+    expectMatchesSerial(outcome.results, serial);
+    EXPECT_GE(outcome.reclaims, 1u);
+    EXPECT_GE(outcome.meta[2].attempts, 2u);
+    EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
 TEST(FabricTest, SigstopHangIsKilledAndReclaimed)

@@ -3,7 +3,8 @@
  * Tests for the parallel sweep engine: FVC_JOBS parsing, the thread
  * pool, SweepRunner's deterministic result ordering, the shared
  * TraceRepository's memoization under concurrent lookup, and
- * single-pass groups replayed on concurrent pool workers.
+ * single-pass groups — whole or split over one shared trace —
+ * replayed on concurrent pool workers.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <thread>
 
 #include "cache/cache_system.hh"
+#include "fabric/spill.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -394,6 +396,63 @@ TEST(SinglePass, GroupedSweepIdenticalAcrossPoolWidths)
     };
 
     EXPECT_EQ(run_grouped(1), run_grouped(8));
+}
+
+// The dispatch plan splits a large lane group into units that
+// replay one shared PreparedTrace at the same time. Two simulators,
+// each on half of an 8-cell grid, must match one simulator over the
+// whole grid; the TSan build checks that the concurrent run() calls
+// share no unguarded state.
+TEST(SinglePass, SplitGridOnSharedTraceMatchesWholeGrid)
+{
+    constexpr size_t kCells = 8;
+    const auto trace = fh::sharedTrace(
+        fw::specIntProfile(fw::SpecInt::Gcc126), 20000, 47);
+
+    // Cells 0-2 are bare DMC, the rest DMC+FVC over three code
+    // widths, so one half mixes both kinds and the other is FVC-only.
+    auto run_cells = [&trace](size_t begin, size_t end) {
+        fvc::sim::MultiConfigSimulator engine(trace->columns,
+                                              trace->initial_image,
+                                              trace->frequent_values);
+        for (size_t c = begin; c < end; ++c) {
+            fc::CacheConfig dmc;
+            dmc.size_bytes = (c % 2 ? 8 : 4) * 1024;
+            dmc.line_bytes = c % 3 ? 32 : 16;
+            if (c < 3) {
+                engine.addDmc(dmc);
+                continue;
+            }
+            co::FvcConfig fvc;
+            fvc.entries = 256;
+            fvc.line_bytes = dmc.line_bytes;
+            fvc.code_bits = static_cast<unsigned>(1 + c % 3);
+            engine.addDmcFvc(dmc, fvc);
+        }
+        engine.run();
+        std::vector<fvc::fabric::CellStats> out(end - begin);
+        for (size_t c = 0; c < out.size(); ++c) {
+            out[c].cache = engine.stats(c);
+            if (const auto *fvc_stats = engine.fvcStats(c))
+                out[c].fvc = *fvc_stats;
+        }
+        return out;
+    };
+
+    fh::ThreadPool pool(4);
+    fh::SweepRunner<std::vector<fvc::fabric::CellStats>> sweep(pool);
+    sweep.submit([&] { return run_cells(0, kCells / 2); });
+    sweep.submit([&] { return run_cells(kCells / 2, kCells); });
+    const auto halves = sweep.run();
+    const auto whole = run_cells(0, kCells);
+
+    ASSERT_EQ(halves.size(), 2u);
+    for (size_t c = 0; c < kCells; ++c) {
+        const auto &half = halves[c / (kCells / 2)];
+        ASSERT_EQ(half.size(), kCells / 2);
+        EXPECT_TRUE(half[c % (kCells / 2)].identical(whole[c]))
+            << "cell " << c;
+    }
 }
 
 TEST(TraceRepositoryTest, MemoizesByKey)

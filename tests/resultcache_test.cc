@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 
 #include "fabric/cell.hh"
 #include "fabric/spill.hh"
+#include "harness/parallel.hh"
 #include "resultcache/repository.hh"
 #include "resultcache/result_store.hh"
 #include "util/error.hh"
@@ -31,6 +33,7 @@
 namespace fb = fvc::fabric;
 namespace fc = fvc::cache;
 namespace fco = fvc::core;
+namespace fh = fvc::harness;
 namespace frc = fvc::resultcache;
 namespace fu = fvc::util;
 namespace fw = fvc::workload;
@@ -183,6 +186,67 @@ withFvc(fb::CellSpec cell, uint32_t entries = 128)
     cell.fvc.code_bits = 3;
     cell.has_fvc = true;
     return cell;
+}
+
+/** A Figure 13-shaped lane grid on two traces — per trace, 7 bare
+ * DMC geometries plus 3 code widths x 7 DMC+FVC geometries, 28 lane
+ * cells, submitted interleaved like the figure — then a victim, an
+ * L2 and a write-through cell, each on a trace of its own. Unsplit,
+ * that is 5 dispatch units. */
+std::vector<fb::CellSpec>
+dispatchGrid(uint64_t accesses)
+{
+    struct Row
+    {
+        uint32_t line_bytes;
+        uint32_t dmc_kb;
+    };
+    const Row rows[] = {{8, 4},   {16, 8},  {16, 16}, {16, 32},
+                        {32, 16}, {32, 32}, {64, 32}};
+    const fw::SpecInt benches[] = {fw::SpecInt::M88ksim124,
+                                   fw::SpecInt::Perl134};
+    std::vector<fb::CellSpec> cells;
+    for (auto bench : benches) {
+        for (const Row &row : rows) {
+            auto cell = makeCell(bench, accesses, 23);
+            cell.dmc.size_bytes = 2 * row.dmc_kb * 1024;
+            cell.dmc.line_bytes = row.line_bytes;
+            cells.push_back(cell);
+        }
+    }
+    for (uint32_t code_bits : {3u, 2u, 1u}) {
+        for (auto bench : benches) {
+            for (const Row &row : rows) {
+                auto cell = makeCell(bench, accesses, 23);
+                cell.dmc.size_bytes = row.dmc_kb * 1024;
+                cell.dmc.line_bytes = row.line_bytes;
+                cell = withFvc(cell, 512);
+                cell.fvc.code_bits = code_bits;
+                cells.push_back(cell);
+            }
+        }
+    }
+    auto victim = makeCell(fw::SpecInt::Go099, accesses, 73);
+    victim.victim_entries = 16;
+    cells.push_back(victim);
+    auto two_level = makeCell(fw::SpecInt::Li130, accesses, 73);
+    two_level.l2.size_bytes = 64 * 1024;
+    two_level.l2.line_bytes = 32;
+    two_level.l2.assoc = 4;
+    two_level.has_l2 = true;
+    cells.push_back(two_level);
+    auto wt = makeCell(fw::SpecInt::Vortex147, accesses, 83);
+    wt.dmc.write_policy = fc::WritePolicy::WriteThrough;
+    cells.push_back(wt);
+    return cells;
+}
+
+/** The lane kernel's cell kinds: write-back, no victim, no L2. */
+bool
+laneEligible(const fb::CellSpec &cell)
+{
+    return cell.dmc.write_policy == fc::WritePolicy::WriteBack &&
+           cell.victim_entries == 0 && !cell.has_l2;
 }
 
 } // namespace
@@ -731,4 +795,94 @@ TEST(ResultRepositoryTest, DistinctCellKindsGetDistinctFingerprints)
     l2_big.l2.size_bytes = 64 * 1024;
     EXPECT_NE(fb::cellFingerprint(two_level),
               fb::cellFingerprint(l2_big));
+}
+
+// ---------------------------------------------------------------
+// The thread backend's dispatch plan.
+// ---------------------------------------------------------------
+
+TEST(ResultRepositoryTest, PlanDispatchCoversEveryCellOnce)
+{
+    const auto cells = dispatchGrid(400000);
+    std::set<uint64_t> traces;
+    for (const auto &cell : cells)
+        traces.insert(fb::cellTraceHash(cell));
+
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const auto plan = frc::planDispatch(cells, threads);
+
+        // Every cell in exactly one unit; a lane unit holds lane
+        // cells of one trace, any other unit a single cell.
+        std::vector<int> seen(cells.size(), 0);
+        for (const auto &unit : plan) {
+            ASSERT_FALSE(unit.cells.empty());
+            if (!unit.lane) {
+                EXPECT_EQ(unit.cells.size(), 1u);
+            }
+            uint64_t cost = 0;
+            for (size_t i : unit.cells) {
+                ASSERT_LT(i, cells.size());
+                ++seen[i];
+                cost += frc::cellCost(cells[i]);
+                EXPECT_EQ(laneEligible(cells[i]), unit.lane) << i;
+                EXPECT_EQ(fb::cellTraceHash(cells[i]), unit.trace)
+                    << i;
+            }
+            EXPECT_EQ(unit.cost, cost);
+        }
+        for (size_t i = 0; i < cells.size(); ++i)
+            EXPECT_EQ(seen[i], 1) << cells[i].describe();
+
+        // One thread never splits; four fill twice the pool.
+        if (threads == 1) {
+            EXPECT_EQ(plan.size(), 5u);
+        }
+        if (threads >= 4) {
+            EXPECT_GE(plan.size(), 2 * threads);
+        }
+
+        // Each trace's first unit leads, then longest first.
+        ASSERT_GE(plan.size(), traces.size());
+        std::set<uint64_t> leading;
+        for (size_t u = 0; u < traces.size(); ++u)
+            EXPECT_TRUE(leading.insert(plan[u].trace).second) << u;
+        for (size_t u = 1; u < plan.size(); ++u) {
+            if (u != traces.size()) {
+                EXPECT_GE(plan[u - 1].cost, plan[u].cost) << u;
+            }
+        }
+
+        const auto again = frc::planDispatch(cells, threads);
+        ASSERT_EQ(again.size(), plan.size());
+        for (size_t u = 0; u < plan.size(); ++u) {
+            EXPECT_EQ(again[u].cells, plan[u].cells);
+            EXPECT_EQ(again[u].lane, plan[u].lane);
+        }
+    }
+}
+
+TEST(ResultRepositoryTest, SplitPlanMatchesDirectSimulation)
+{
+    EnvGuard env;
+    // No FVC_RESULT_DIR: every cell dispatches, through the plan at
+    // the shared pool's width. A pool with room for more than the 5
+    // unsplit units must split a lane group.
+    const auto cells = dispatchGrid(20000);
+    const unsigned threads = fh::ThreadPool::shared().threadCount();
+    const size_t unsplit = frc::planDispatch(cells, 1).size();
+    if (2 * threads > unsplit) {
+        EXPECT_GT(frc::planDispatch(cells, threads).size(), unsplit)
+            << "no lane group split on " << threads << " threads";
+    }
+
+    frc::ResultRepository repo;
+    auto results = repo.runCells(cells, "split plan sweep");
+    ASSERT_EQ(results.size(), cells.size());
+    EXPECT_EQ(repo.simulations(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        ASSERT_TRUE(results[i]) << cells[i].describe();
+        EXPECT_TRUE(results[i]->identical(fb::simulateCell(cells[i])))
+            << cells[i].describe();
+    }
 }

@@ -569,17 +569,12 @@ BENCHMARK(BM_TraceLoad)->Unit(benchmark::kMillisecond);
 // --- Host identification for the JSON context ------------------
 //
 // Timings are only comparable across runs on the same CPU at the
-// same frequency policy, so the context records both. run_bench.sh
-// passes them through FVC_BENCH_CPU_MODEL / FVC_BENCH_GOVERNOR (so
-// the recorded values match what the wrapper saw and logged); when
-// run standalone the benchmark reads the host directly.
+// same frequency policy, so the context records both, read from the
+// host (run_bench.sh prints them back from the JSON).
 
 std::string
 benchCpuModel()
 {
-    if (const char *env = std::getenv("FVC_BENCH_CPU_MODEL");
-        env != nullptr && *env != '\0')
-        return env;
     std::ifstream in("/proc/cpuinfo");
     std::string line;
     while (std::getline(in, line)) {
@@ -599,9 +594,6 @@ benchCpuModel()
 std::string
 benchGovernor()
 {
-    if (const char *env = std::getenv("FVC_BENCH_GOVERNOR");
-        env != nullptr && *env != '\0')
-        return env;
     std::ifstream in(
         "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
     std::string governor;

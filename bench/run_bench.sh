@@ -63,18 +63,6 @@ out="$repo_root/BENCH_microbench.json"
 tmp="$out.tmp"
 trap 'rm -f "$tmp"' EXIT
 
-# Record the host CPU and its frequency-scaling governor in the JSON
-# context. The microbench falls back to reading the host itself, but
-# exporting the values here means the recorded context matches what
-# this wrapper observed (and logs below) at build-and-run time.
-cpu_model=$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null \
-    | head -n1)
-governor=$(cat /sys/devices/system/cpu/cpu0/cpufreq/scaling_governor \
-    2>/dev/null || true)
-FVC_BENCH_CPU_MODEL="${cpu_model:-unknown}"
-FVC_BENCH_GOVERNOR="${governor:-unknown}"
-export FVC_BENCH_CPU_MODEL FVC_BENCH_GOVERNOR
-
 "$bin" \
     --benchmark_out="$tmp" \
     --benchmark_out_format=json \
@@ -94,7 +82,8 @@ trap - EXIT
 # Surface the recorded trace-store state, replay-kernel ISA and
 # daemon serving mode: comparisons are only valid between runs with
 # the same state, ISA and serving mode (compare_bench.py enforces
-# all three).
+# all three). The host CPU and its frequency-scaling governor, which
+# the microbench reads itself, are printed back the same way.
 store_state=$(sed -n \
     's/.*"fvc_trace_store": "\([a-z]*\)".*/\1/p' "$out" | head -n1)
 simd_isa=$(sed -n \
@@ -104,4 +93,8 @@ daemon_state=$(sed -n \
 echo "wrote $out (fvc_trace_store: ${store_state:-unknown}," \
      "fvc_simd_isa: ${simd_isa:-unknown}," \
      "fvc_daemon: ${daemon_state:-unknown})"
-echo "host: ${FVC_BENCH_CPU_MODEL} (governor: ${FVC_BENCH_GOVERNOR})"
+cpu_model=$(sed -n \
+    's/.*"fvc_cpu_model": "\([^"]*\)".*/\1/p' "$out" | head -n1)
+governor=$(sed -n \
+    's/.*"fvc_cpu_governor": "\([^"]*\)".*/\1/p' "$out" | head -n1)
+echo "host: ${cpu_model:-unknown} (governor: ${governor:-unknown})"

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "resultcache/repository.hh"
+#include "util/knobs.hh"
 #include "util/logging.hh"
 
 namespace fvc::daemon {
@@ -24,6 +25,13 @@ namespace {
  * across them, so chunking never costs a duplicate simulation. */
 constexpr size_t kMaxCellsPerSubmit = 3000;
 
+/** Connect/reconnect attempts when Options::retries is 0. */
+constexpr unsigned kDefaultRetries = 3;
+
+/** Per-attempt timeout and backoff ceiling when
+ * Options::timeout_ms is 0. */
+constexpr uint64_t kDefaultTimeoutMs = 2000;
+
 util::Error
 ioError(const std::string &what, const std::string &path)
 {
@@ -31,6 +39,27 @@ ioError(const std::string &what, const std::string &path)
 }
 
 } // namespace
+
+DaemonMode
+daemonMode()
+{
+    return util::knobChoice<DaemonMode>("FVC_DAEMON",
+                                        {{"auto", DaemonMode::Auto},
+                                         {"on", DaemonMode::On},
+                                         {"off", DaemonMode::Off}},
+                                        DaemonMode::Auto);
+}
+
+const char *
+daemonModeName(DaemonMode mode)
+{
+    switch (mode) {
+      case DaemonMode::Auto: return "auto";
+      case DaemonMode::On: return "on";
+      case DaemonMode::Off: return "off";
+    }
+    fvc_panic("unreachable daemon mode");
+}
 
 util::Expected<Client>
 Client::connect(const Options &options)
@@ -40,9 +69,9 @@ Client::connect(const Options &options)
                        ? socketPath()
                        : options.socket_path;
     client.retries_ =
-        options.retries ? options.retries : daemonRetries();
+        options.retries ? options.retries : kDefaultRetries;
     client.timeout_ms_ = options.timeout_ms ? options.timeout_ms
-                                            : daemonTimeoutMs();
+                                            : kDefaultTimeoutMs;
     if (auto err = client.reconnect())
         return *err;
     return client;

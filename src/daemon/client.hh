@@ -10,19 +10,18 @@
  *    answers serves the sweep, anything else falls back to the
  *    in-process path silently.
  *  - "on": a reachable daemon is mandatory; connect failures after
- *    FVC_DAEMON_RETRIES attempts are fatal (the acceptance-gate
- *    mode — accidental in-process fallback must not pass for a
- *    daemon-served run).
+ *    3 attempts are fatal (the acceptance-gate mode — accidental
+ *    in-process fallback must not pass for a daemon-served run).
  *
  * The daemon performs the exact ResultRepository::runCells call the
  * client would have made, so a daemon-served sweep is byte-identical
  * to an in-process one — stdout, CSVs, FAILED-cell rendering and
  * all. submit() survives a daemon restart: a connection that dies
- * mid-conversation is reconnected (FVC_DAEMON_RETRIES attempts,
- * backoff bounded by FVC_DAEMON_TIMEOUT_MS) and the whole request
- * is resubmitted — results are pure functions of the specs and the
- * store dedups re-asked cells, so a resubmission costs a lookup,
- * not a re-simulation.
+ * mid-conversation is reconnected (Options::retries attempts,
+ * default 3; backoff bounded by Options::timeout_ms, default
+ * 2000 ms) and the whole request is resubmitted — results are pure
+ * functions of the specs and the store dedups re-asked cells, so a
+ * resubmission costs a lookup, not a re-simulation.
  */
 
 #ifndef FVC_DAEMON_CLIENT_HH_
@@ -33,23 +32,35 @@
 #include <string>
 #include <vector>
 
-#include "daemon/knobs.hh"
 #include "daemon/protocol.hh"
 #include "util/error.hh"
 
 namespace fvc::daemon {
+
+/** Client dispatch mode, from FVC_DAEMON. */
+enum class DaemonMode {
+    Auto,
+    On,
+    Off,
+};
+
+/** FVC_DAEMON: "auto" (the default), "on" or "off". */
+DaemonMode daemonMode();
+
+/** The mode's canonical name ("auto"/"on"/"off"). */
+const char *daemonModeName(DaemonMode mode);
 
 class Client
 {
   public:
     struct Options
     {
-        /** Socket path; empty = knobs::socketPath(). */
+        /** Socket path; empty = socketPath(). */
         std::string socket_path;
-        /** Connect/reconnect attempts; 0 = knobs::daemonRetries().
-         */
+        /** Connect/reconnect attempts; 0 = 3. */
         unsigned retries = 0;
-        /** Control-reply timeout; 0 = knobs::daemonTimeoutMs(). */
+        /** Per-attempt connect/control-reply timeout and backoff
+         * ceiling in ms; 0 = 2000. */
         uint64_t timeout_ms = 0;
     };
 
@@ -97,8 +108,8 @@ class Client
     int fd_ = -1;
     uint32_t daemon_pid_ = 0;
     std::string path_;
-    unsigned retries_ = 3;
-    uint64_t timeout_ms_ = 2000;
+    unsigned retries_ = 0;
+    uint64_t timeout_ms_ = 0;
     FrameBuffer frames_;
 };
 

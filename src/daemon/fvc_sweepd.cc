@@ -18,7 +18,6 @@
 
 #include <unistd.h>
 
-#include "daemon/knobs.hh"
 #include "daemon/server.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"

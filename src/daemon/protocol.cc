@@ -4,8 +4,10 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include "util/bitops.hh"
+#include "util/knobs.hh"
 #include "util/strings.hh"
 
 namespace fvc::daemon {
@@ -100,6 +102,16 @@ decodeCacheConfig(Reader &in, cache::CacheConfig &config)
 }
 
 } // namespace
+
+std::string
+socketPath()
+{
+    const std::string path = util::knobText("FVC_DAEMON_SOCK");
+    if (!path.empty())
+        return path;
+    return util::tempDir() + "/fvc_sweepd-" +
+           std::to_string(::getuid()) + ".sock";
+}
 
 std::vector<uint8_t>
 encodeHello(const Hello &hello)

@@ -49,6 +49,11 @@
 
 namespace fvc::daemon {
 
+/** The daemon's socket: FVC_DAEMON_SOCK, or the per-user default
+ * "<TMPDIR>/fvc_sweepd-<uid>.sock" (per-user so two users on one
+ * host never collide). */
+std::string socketPath();
+
 /** Daemon frame magic ("FVCD", little-endian). */
 constexpr uint32_t kDaemonMagic = 0x44435646;
 

@@ -10,7 +10,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "daemon/knobs.hh"
 #include "fabric/cell.hh"
 #include "fabric/queue.hh"
 #include "resultcache/repository.hh"
@@ -76,9 +75,7 @@ Server::create(const Options &options)
     server.path_ = options.socket_path.empty()
                        ? fvc::daemon::socketPath()
                        : options.socket_path;
-    server.batch_window_ms_ = options.batch_window_ms == UINT64_MAX
-                                  ? daemonBatchMs()
-                                  : options.batch_window_ms;
+    server.batch_window_ms_ = options.batch_window_ms;
 
     sockaddr_un addr;
     if (!sockaddrFor(server.path_, addr)) {

@@ -5,7 +5,8 @@
  * socket and funnels their cells into the shared ResultRepository.
  *
  * Batching: the first SubmitCells frame of an idle daemon opens a
- * batching window (FVC_DAEMON_BATCH_MS). Every submission that
+ * batching window (Options::batch_window_ms, default 5 ms; the
+ * fvc_sweepd --batch-ms flag sets it). Every submission that
  * arrives before the window closes — from the same client or any
  * other — joins the same ResultRepository::runCells dispatch, so
  * two users sweeping overlapping grids share one simulation and one
@@ -49,10 +50,10 @@ class Server
   public:
     struct Options
     {
-        /** Socket path; empty = knobs::socketPath(). */
+        /** Socket path; empty = socketPath(). */
         std::string socket_path;
-        /** Batching window; UINT64_MAX = knobs::daemonBatchMs(). */
-        uint64_t batch_window_ms = UINT64_MAX;
+        /** Batching window in ms; 0 dispatches immediately. */
+        uint64_t batch_window_ms = 5;
     };
 
     /**

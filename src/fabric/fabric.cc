@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include "fabric/queue.hh"
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -226,50 +227,46 @@ deadPidFiles(const std::string &dir)
 std::optional<unsigned>
 configuredWorkers()
 {
-    const char *env = std::getenv("FVC_WORKERS");
-    if (!env || !*env)
+    const uint64_t workers =
+        util::knobCount("FVC_WORKERS", 0, 1, 1024);
+    if (workers == 0)
         return std::nullopt;
-    auto v = util::parseUint(env);
-    if (!v || *v == 0 || *v > 1024) {
-        fvc_warn("ignoring invalid FVC_WORKERS=\"", env,
-                 "\" (want a positive integer)");
-        return std::nullopt;
-    }
-    return static_cast<unsigned>(*v);
+    return static_cast<unsigned>(workers);
 }
 
 uint64_t
 leaseMs()
 {
-    constexpr uint64_t kDefault = 2000;
-    const char *env = std::getenv("FVC_LEASE_MS");
-    if (!env || !*env)
-        return kDefault;
-    auto v = util::parseUint(env);
-    if (!v || *v < 20) {
-        fvc_warn("ignoring invalid FVC_LEASE_MS=\"", env,
-                 "\" (want an integer >= 20)");
-        return kDefault;
-    }
-    return *v;
+    return util::knobCount("FVC_LEASE_MS", 2000, 20, 86400000);
+}
+
+unsigned
+sweepRetries()
+{
+    return static_cast<unsigned>(
+        util::knobCount("FVC_RETRIES", 2, 0, 249));
+}
+
+uint64_t
+jobTimeoutMs()
+{
+    return util::knobCount("FVC_JOB_TIMEOUT_MS", 0, 0, UINT64_MAX);
 }
 
 bool
 fabricDirConfigured()
 {
-    const char *env = std::getenv("FVC_FABRIC_DIR");
-    return env && *env;
+    return !util::knobText("FVC_FABRIC_DIR").empty();
 }
 
 std::string
 fabricDir()
 {
-    const char *env = std::getenv("FVC_FABRIC_DIR");
-    if (env && *env)
-        return env;
-    const char *tmp = std::getenv("TMPDIR");
-    std::string base = (tmp && *tmp) ? tmp : "/tmp";
-    return base + "/fvc-fabric-" + std::to_string(::getpid());
+    const std::string dir = util::knobText("FVC_FABRIC_DIR");
+    if (!dir.empty())
+        return dir;
+    return util::tempDir() + "/fvc-fabric-" +
+           std::to_string(::getpid());
 }
 
 void
@@ -299,21 +296,6 @@ harvestDeadSpills(const std::string &dir)
         out.paths.push_back(file.path);
     }
     return out;
-}
-
-std::vector<harness::JobFailure>
-toJobFailures(const FabricOutcome &outcome)
-{
-    std::vector<harness::JobFailure> failures;
-    failures.reserve(outcome.failures.size());
-    for (const auto &failure : outcome.failures) {
-        harness::JobFailure jf;
-        jf.index = failure.index;
-        jf.message = failure.message;
-        jf.attempts = std::max(1u, failure.attempts);
-        failures.push_back(std::move(jf));
-    }
-    return failures;
 }
 
 FabricRunner::FabricRunner(FabricOptions options)
@@ -349,7 +331,7 @@ FabricRunner::run()
         options_.lease_ms ? options_.lease_ms : leaseMs();
     const unsigned retries = options_.retries
                                  ? *options_.retries
-                                 : harness::sweepRetries();
+                                 : sweepRetries();
     const bool ephemeral =
         options_.dir.empty() && !fabricDirConfigured();
     const std::string dir =
@@ -374,9 +356,8 @@ FabricRunner::run()
     if (!created.ok()) {
         for (size_t i = 0; i < n; ++i) {
             out.failures.push_back(
-                {i, 0,
-                 cells[i].describe() + ": fabric queue: " +
-                     created.error().describe()});
+                {i, cells[i].describe() + ": fabric queue: " +
+                        created.error().describe()});
         }
         return out;
     }
@@ -554,11 +535,12 @@ FabricRunner::run()
         }
         SlotCtl ctl = queue.load(i);
         out.failures.push_back(
-            {i, ctl.attempts,
+            {i,
              cells[i].describe() + ": retry budget exhausted (" +
                  std::to_string(ctl.attempts) +
                  " attempts; worker killed, hung, or its result "
-                 "was rejected)"});
+                 "was rejected)",
+             std::max(1u, static_cast<unsigned>(ctl.attempts))});
     }
 
     // Retire this run's transient files.

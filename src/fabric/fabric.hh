@@ -10,18 +10,18 @@
  * robustness contract (DESIGN.md "Sweep fabric"):
  *
  *  - Every cell is leased, never given away: a worker that dies
- *    (SIGKILL, OOM), hangs (SIGSTOP, wedged loop), or silently
- *    exits simply stops renewing its lease, and the cell is
- *    re-queued — stolen by an idle worker or reclaimed by the
- *    coordinator, which also SIGKILLs the stuck owner. This is the
- *    reclaim the thread backend's FVC_JOB_TIMEOUT_MS watchdog
- *    cannot perform (it can only report; see parallel.hh).
+ *    (SIGKILL, OOM), hangs (SIGSTOP, wedged loop), runs past the
+ *    FVC_JOB_TIMEOUT_MS per-cell budget, or silently exits simply
+ *    stops renewing its lease, and the cell is re-queued — stolen
+ *    by an idle worker or reclaimed by the coordinator, which also
+ *    SIGKILLs the stuck owner. (The thread backend has no such
+ *    budget: a thread cannot be killed.)
  *  - Results publish at-most-once: a slot's steal-guard sequence
  *    number invalidates the loser's markDone, and duplicate or
  *    CRC-rejected records are discarded at merge.
- *  - Re-queues are bounded by the same FVC_RETRIES budget the
- *    thread backend uses; an exhausted cell degrades to a FAILED
- *    report, exactly like harness::runDegraded.
+ *  - Re-queues are bounded by the FVC_RETRIES budget; an exhausted
+ *    cell degrades to a FAILED report (a harness::JobFailure),
+ *    exactly like a failed job of harness::runDegraded.
  *  - The runner keeps no state across runs, and the merged output
  *    is byte-identical to a serial run regardless of worker count
  *    or crash schedule. Resuming an interrupted sweep is a warm
@@ -47,17 +47,25 @@
 namespace fvc::fabric {
 
 /**
- * FVC_WORKERS: process count for fabric sweeps, strict-parsed
- * (positive integer, no trailing garbage). nullopt when unset or
- * invalid (invalid warns) — benches fall back to the thread
+ * FVC_WORKERS: process count for fabric sweeps (1..1024). nullopt
+ * when unset or bad (bad warns) — benches fall back to the thread
  * backend in that case.
  */
 std::optional<unsigned> configuredWorkers();
 
-/** FVC_LEASE_MS: lease duration in ms (strict-parsed, >= 20;
- * default 2000). Short leases reclaim crashes faster but tolerate
- * less scheduling jitter before a false steal. */
+/** FVC_LEASE_MS: lease duration in ms (20..86,400,000; default
+ * 2000). Short leases reclaim crashes faster but tolerate less
+ * scheduling jitter before a false steal. */
 uint64_t leaseMs();
+
+/** FVC_RETRIES: extra attempts per cell (0..249; default 2). The
+ * queue keeps attempts in a byte and caps the total at 250. */
+unsigned sweepRetries();
+
+/** FVC_JOB_TIMEOUT_MS: per-cell wall-clock budget in ms; 0 (the
+ * default) disables it. A worker over budget stops renewing its
+ * lease, so the coordinator kills it and re-queues the cell. */
+uint64_t jobTimeoutMs();
 
 /**
  * The fabric scratch directory: FVC_FABRIC_DIR when set (a stable
@@ -98,14 +106,6 @@ struct DeadSpills
  */
 DeadSpills harvestDeadSpills(const std::string &dir);
 
-/** One cell that exhausted its retry budget. */
-struct CellFailure
-{
-    size_t index = 0;
-    unsigned attempts = 0;
-    std::string message;
-};
-
 /** Provenance of one merged result. */
 struct CellMeta
 {
@@ -121,7 +121,10 @@ struct FabricOutcome
 {
     /** One slot per cell, submission order; nullopt = FAILED. */
     std::vector<std::optional<CellStats>> results;
-    std::vector<CellFailure> failures;
+    /** Cells that exhausted their retry budget, by index; rendered
+     * by harness::reportSweepFailures like failed sweep jobs
+     * (attempts is at least 1). */
+    std::vector<harness::JobFailure> failures;
     /** Parallel to results; meaningful where results is engaged. */
     std::vector<CellMeta> meta;
     /** This coordinator run's id. */
@@ -147,12 +150,6 @@ struct FabricOutcome
     bool ok() const { return failures.empty(); }
 };
 
-/** Convert fabric failures to the thread backend's failure type so
- * harness::reportSweepFailures renders them identically (FAILED
- * cells, FVC_STRICT fail-fast). */
-std::vector<harness::JobFailure>
-toJobFailures(const FabricOutcome &outcome);
-
 /** Knobs for one fabric run (tests override the env defaults). */
 struct FabricOptions
 {
@@ -160,8 +157,8 @@ struct FabricOptions
     unsigned workers = 0;
     /** Lease in ms; 0 = leaseMs(). */
     uint64_t lease_ms = 0;
-    /** Extra attempts per cell; nullopt = harness::sweepRetries().
-     * (Max attempts = retries + 1, like the thread backend.) */
+    /** Extra attempts per cell; nullopt = sweepRetries(). (Max
+     * attempts = retries + 1.) */
     std::optional<unsigned> retries;
     /** Scratch dir; empty = fabricDir(). */
     std::string dir;

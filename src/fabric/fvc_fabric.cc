@@ -120,7 +120,7 @@ main(int argc, char **argv)
 
     if (!outcome.failures.empty()) {
         harness::reportSweepFailures(
-            fabric::toJobFailures(outcome), specs.size(),
+            outcome.failures, specs.size(),
             "fabric sweep");
         return 1;
     }

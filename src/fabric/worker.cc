@@ -7,8 +7,8 @@
  * A heartbeat thread renews the lease of whatever cell is in flight,
  * but stops renewing once the cell has been running longer than
  * FVC_JOB_TIMEOUT_MS — letting the lease lapse is precisely how a
- * wedged job gets killed and re-queued, which is the reclaim the
- * thread backend's watchdog can only report. The heartbeat waits on
+ * wedged job gets killed and re-queued, a reclaim no thread backend
+ * can perform. The heartbeat waits on
  * its stop token, so once the queue completes the worker publishes
  * its spill and exits at once, whatever the lease period.
  */
@@ -135,7 +135,7 @@ runWorkerProcess(SharedQueue &queue,
 
     const auto fault = verify::FaultSpec::fromEnv();
     const uint64_t lease_ms = queue.leaseMs();
-    const uint64_t job_budget_ms = harness::jobTimeoutMs();
+    const uint64_t job_budget_ms = jobTimeoutMs();
 
     // Heartbeat: renew the in-flight cell's lease at a quarter of
     // the lease period. Stops renewing once the cell has run past

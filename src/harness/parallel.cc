@@ -1,10 +1,8 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
 
-#include "util/logging.hh"
-#include "util/strings.hh"
+#include "util/knobs.hh"
 #include "verify/fault_injector.hh"
 
 namespace fvc::harness {
@@ -12,38 +10,9 @@ namespace fvc::harness {
 unsigned
 jobCount()
 {
-    if (const char *env = std::getenv("FVC_JOBS")) {
-        auto v = util::parseUint(env);
-        if (v && *v > 0)
-            return static_cast<unsigned>(*v);
-        fvc_warn("ignoring bad FVC_JOBS value: ", env);
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-unsigned
-sweepRetries()
-{
-    if (const char *env = std::getenv("FVC_RETRIES")) {
-        auto v = util::parseUint(env);
-        if (v)
-            return static_cast<unsigned>(*v);
-        fvc_warn("ignoring bad FVC_RETRIES value: ", env);
-    }
-    return 2;
-}
-
-uint64_t
-jobTimeoutMs()
-{
-    if (const char *env = std::getenv("FVC_JOB_TIMEOUT_MS")) {
-        auto v = util::parseUint(env);
-        if (v)
-            return *v;
-        fvc_warn("ignoring bad FVC_JOB_TIMEOUT_MS value: ", env);
-    }
-    return 0;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        util::knobCount("FVC_JOBS", hw > 0 ? hw : 1, 1, 1024));
 }
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -122,8 +91,6 @@ JobFailure::describe() const
     std::string out = "#" + std::to_string(index);
     if (attempts > 1)
         out += " (" + std::to_string(attempts) + " attempts)";
-    if (timed_out)
-        out += " [timed out]";
     out += ": " + message;
     return out;
 }
@@ -141,86 +108,6 @@ summarizeFailures(const std::vector<JobFailure> &failures,
         out += failures[i].describe();
     }
     return out;
-}
-
-JobWatchdog::JobWatchdog(uint64_t timeout_ms)
-    : timeout_ms_(timeout_ms)
-{
-    if (enabled()) {
-        monitor_ = std::jthread(
-            [this](std::stop_token token) { monitorLoop(token); });
-    }
-}
-
-JobWatchdog::~JobWatchdog()
-{
-    if (monitor_.joinable()) {
-        monitor_.request_stop();
-        cv_.notify_all();
-    }
-    // ~jthread joins.
-}
-
-uint64_t
-JobWatchdog::start(size_t index)
-{
-    if (!enabled())
-        return 0;
-    std::lock_guard lock(mutex_);
-    uint64_t ticket = ++next_ticket_;
-    inflight_.emplace(
-        ticket,
-        InFlight{index,
-                 std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(timeout_ms_),
-                 false});
-    cv_.notify_all();
-    return ticket;
-}
-
-bool
-JobWatchdog::finish(uint64_t ticket)
-{
-    if (!enabled())
-        return false;
-    std::lock_guard lock(mutex_);
-    auto it = inflight_.find(ticket);
-    if (it == inflight_.end())
-        return false;
-    // Count a deadline that passed while nobody was watching, too:
-    // expiry is a property of the clock, not of the monitor's
-    // scheduling.
-    bool expired = it->second.expired ||
-                   std::chrono::steady_clock::now() >=
-                       it->second.deadline;
-    inflight_.erase(it);
-    return expired;
-}
-
-void
-JobWatchdog::monitorLoop(std::stop_token token)
-{
-    std::unique_lock lock(mutex_);
-    while (!token.stop_requested()) {
-        auto now = std::chrono::steady_clock::now();
-        auto next_wake =
-            now + std::chrono::milliseconds(timeout_ms_);
-        for (auto &[ticket, job] : inflight_) {
-            if (job.expired)
-                continue;
-            if (job.deadline <= now) {
-                job.expired = true;
-                fvc_warn("sweep job #", job.index, " exceeded ",
-                         timeout_ms_,
-                         "ms watchdog; its result will be "
-                         "discarded");
-            } else if (job.deadline < next_wake) {
-                next_wake = job.deadline;
-            }
-        }
-        cv_.wait_until(lock, token, next_wake,
-                       [] { return false; });
-    }
 }
 
 namespace detail {

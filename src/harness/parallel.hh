@@ -14,23 +14,23 @@
  *
  * Failure handling (DESIGN.md "Failure handling & integrity
  * contract"): one throwing job must not cost the whole figure.
- * runChecked() captures every job's failure — with bounded retry of
- * TransientErrors (FVC_RETRIES) and a per-job wall-clock watchdog
- * (FVC_JOB_TIMEOUT_MS) — and returns partial results; run() keeps
- * the throwing interface but reports *all* failures, indexed, in
- * one SweepError.
+ * runChecked() runs each job once, captures every job's failure and
+ * returns partial results; run() keeps the throwing interface but
+ * reports *all* failures, indexed, in one SweepError. A thread
+ * cannot be killed, so this backend has no retry or time budget:
+ * re-queueing a crashed or wedged cell is the process fabric's job
+ * (fabric/fabric.hh, FVC_RETRIES and FVC_JOB_TIMEOUT_MS).
  */
 
 #ifndef FVC_HARNESS_PARALLEL_HH_
 #define FVC_HARNESS_PARALLEL_HH_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -39,36 +39,13 @@
 #include <utility>
 #include <vector>
 
-#include "util/error.hh"
-
 namespace fvc::harness {
 
 /**
- * Worker count for parallel sweeps: the FVC_JOBS environment
- * variable when set to a positive integer (with no trailing
- * garbage), otherwise hardware_concurrency(). FVC_JOBS=1 forces
- * serial execution.
+ * Worker count for parallel sweeps: FVC_JOBS (1..1024), otherwise
+ * hardware_concurrency(). FVC_JOBS=1 forces serial execution.
  */
 unsigned jobCount();
-
-/** FVC_RETRIES: extra attempts for jobs that throw TransientError
- * (default 2). Fatal (non-transient) failures never retry. */
-unsigned sweepRetries();
-
-/**
- * FVC_JOB_TIMEOUT_MS: per-job wall-clock budget in milliseconds;
- * 0 (the default) disables the watchdog.
- *
- * Honesty note (DESIGN.md "Sweep fabric"): on this *thread*
- * backend the budget is report-only. A thread cannot be safely
- * killed, so an expired job keeps running (and keeps its core, and
- * still performs its side effects); only its result is discarded
- * and reported as timed out. The *process* backend
- * (fabric::FabricRunner) honours the same variable for real: a
- * worker over budget stops renewing its lease, gets SIGKILLed by
- * the coordinator, and its cell is re-queued on a fresh worker.
- */
-uint64_t jobTimeoutMs();
 
 /**
  * A fixed-size pool of std::jthread workers draining one FIFO work
@@ -120,12 +97,11 @@ struct JobFailure
 {
     /** Submission index within this SweepRunner batch. */
     size_t index = 0;
-    /** what() of the last attempt's exception, or the timeout. */
+    /** what() of the job's exception, or the fabric's reason. */
     std::string message;
-    /** Attempts made (1 means no retry happened). */
+    /** Attempts made: always 1 on the thread backend; the fabric's
+     * attempt count for a cell that exhausted FVC_RETRIES. */
     unsigned attempts = 1;
-    /** The watchdog expired this job. */
-    bool timed_out = false;
 
     /** "#3 (2 attempts): out of memory" */
     std::string describe() const;
@@ -172,53 +148,6 @@ class SweepError : public std::runtime_error
     std::vector<JobFailure> failures_;
 };
 
-/**
- * Wall-clock watchdog over in-flight sweep jobs. A monitor thread
- * warns the moment a running job crosses its deadline (so a hung
- * sweep is visible while it hangs); finish() tells the caller
- * whether the job's result should be discarded as timed out.
- * Cooperative only: a job cannot be preempted, so an expired job's
- * result is dropped when (if) it completes — the job itself keeps
- * running and its side effects still happen. Reclaiming a wedged
- * job for real requires the process backend (src/fabric/), which
- * can SIGKILL a worker whose lease lapsed.
- */
-class JobWatchdog
-{
-  public:
-    /** @param timeout_ms per-job budget; 0 disables everything. */
-    explicit JobWatchdog(uint64_t timeout_ms);
-    ~JobWatchdog();
-
-    JobWatchdog(const JobWatchdog &) = delete;
-    JobWatchdog &operator=(const JobWatchdog &) = delete;
-
-    bool enabled() const { return timeout_ms_ > 0; }
-
-    /** Register job @p index as started; returns a ticket. */
-    uint64_t start(size_t index);
-
-    /** Deregister a job; true iff its deadline had expired. */
-    bool finish(uint64_t ticket);
-
-  private:
-    void monitorLoop(std::stop_token token);
-
-    struct InFlight
-    {
-        size_t index;
-        std::chrono::steady_clock::time_point deadline;
-        bool expired = false;
-    };
-
-    uint64_t timeout_ms_;
-    std::mutex mutex_;
-    std::condition_variable_any cv_;
-    std::map<uint64_t, InFlight> inflight_;
-    uint64_t next_ticket_ = 0;
-    std::jthread monitor_;
-};
-
 namespace detail {
 
 /** Process-wide submission counter for FVC_FAULT_SPEC sweep_job. */
@@ -227,34 +156,20 @@ size_t nextGlobalSweepIndex();
 /** The sweep_job index of FVC_FAULT_SPEC, if any (read per call). */
 std::optional<uint64_t> injectedSweepFailure();
 
-/**
- * Run one job with bounded retry of TransientErrors. On success
- * @p slot is engaged and nullopt returned; otherwise the failure.
- */
+/** Run one job. On success @p slot is engaged and nullopt
+ * returned; otherwise the failure. */
 template <typename R>
 std::optional<JobFailure>
-runJobAttempts(const std::function<R()> &job, size_t index,
-               unsigned retries, std::optional<R> &slot)
+runJob(const std::function<R()> &job, size_t index,
+       std::optional<R> &slot)
 {
-    JobFailure failure;
-    failure.index = index;
-    for (unsigned attempt = 1;; ++attempt) {
-        failure.attempts = attempt;
-        try {
-            slot.emplace(job());
-            return std::nullopt;
-        } catch (const util::TransientError &e) {
-            failure.message = e.what();
-            if (attempt <= retries)
-                continue;
-            return failure;
-        } catch (const std::exception &e) {
-            failure.message = e.what();
-            return failure;
-        } catch (...) {
-            failure.message = "unknown exception";
-            return failure;
-        }
+    try {
+        slot.emplace(job());
+        return std::nullopt;
+    } catch (const std::exception &e) {
+        return JobFailure{index, e.what()};
+    } catch (...) {
+        return JobFailure{index, "unknown exception"};
     }
 }
 
@@ -295,12 +210,10 @@ class SweepRunner
     size_t pending() const { return jobs_.size(); }
 
     /**
-     * Execute every submitted job, capturing failures instead of
-     * throwing: each TransientError retries up to sweepRetries()
-     * extra times, each job is under the jobTimeoutMs() watchdog,
-     * and a job matching FVC_FAULT_SPEC's sweep_job index fails by
-     * injection. With a single-threaded pool the jobs run inline,
-     * in order, on the calling thread. The runner is empty
+     * Execute every submitted job once, capturing failures instead
+     * of throwing; a job matching FVC_FAULT_SPEC's sweep_job index
+     * fails by injection. With a single-threaded pool the jobs run
+     * inline, in order, on the calling thread. The runner is empty
      * afterwards and can be reused.
      */
     SweepOutcome<R>
@@ -326,31 +239,12 @@ class SweepRunner
             }
         }
 
-        const unsigned retries = sweepRetries();
-        JobWatchdog watchdog(jobTimeoutMs());
-
         SweepOutcome<R> outcome;
         outcome.results.resize(jobs.size());
         std::vector<std::optional<JobFailure>> failed(jobs.size());
 
         auto runOne = [&](size_t i) {
-            uint64_t ticket = watchdog.start(i);
-            failed[i] = detail::runJobAttempts(
-                jobs[i], i, retries, outcome.results[i]);
-            if (watchdog.finish(ticket)) {
-                // Too late: the slot is untrustworthy under the
-                // job's time budget; report instead of returning.
-                outcome.results[i].reset();
-                JobFailure timeout;
-                timeout.index = i;
-                timeout.message =
-                    "exceeded FVC_JOB_TIMEOUT_MS (" +
-                    std::to_string(jobTimeoutMs()) + " ms)";
-                timeout.attempts =
-                    failed[i] ? failed[i]->attempts : 1;
-                timeout.timed_out = true;
-                failed[i] = timeout;
-            }
+            failed[i] = detail::runJob(jobs[i], i, outcome.results[i]);
         };
 
         if (pool_.threadCount() <= 1 || jobs.size() <= 1) {
@@ -381,7 +275,7 @@ class SweepRunner
 
     /**
      * Execute every submitted job and return the results in
-     * submission order. If any jobs failed (after retry), throws
+     * submission order. If any jobs failed, throws
      * one SweepError summarizing *all* of them — by index — once
      * every job has finished.
      */

@@ -39,13 +39,12 @@ reportSweepFailures(const std::vector<JobFailure> &failures,
     }
     section("FAILED sweep jobs — " + what +
             " (degraded output; set FVC_STRICT=1 to fail fast)");
-    util::Table table({"job", "attempts", "timed out", "error"});
+    util::Table table({"job", "attempts", "error"});
     table.alignRight(0);
     table.alignRight(1);
     for (const auto &failure : failures) {
         table.addRow({"#" + std::to_string(failure.index),
                       std::to_string(failure.attempts),
-                      failure.timed_out ? "yes" : "no",
                       failure.message});
     }
     std::printf("%s", table.render().c_str());

@@ -1,11 +1,11 @@
 #include "harness/runner.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "harness/parallel.hh"
 #include "profiling/value_table.hh"
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -63,15 +63,8 @@ struct ShardOutput
 uint32_t
 genShards()
 {
-    if (const char *env = std::getenv("FVC_GEN_SHARDS")) {
-        // Strict parse, like FVC_JOBS: "4x" is a user error.
-        auto v = util::parseUint(env);
-        if (v && *v >= 1 && *v <= workload::kMaxGenShards)
-            return static_cast<uint32_t>(*v);
-        fvc_warn("ignoring bad FVC_GEN_SHARDS value (want 1..",
-                 workload::kMaxGenShards, "): ", env);
-    }
-    return 1;
+    return static_cast<uint32_t>(util::knobCount(
+        "FVC_GEN_SHARDS", 1, 1, workload::kMaxGenShards));
 }
 
 PreparedTrace
@@ -202,15 +195,8 @@ runDmcFvc(const PreparedTrace &trace,
 uint64_t
 defaultTraceAccesses()
 {
-    if (const char *env = std::getenv("FVC_TRACE_ACCESSES")) {
-        // Strict parse: trailing garbage ("100x") is a user error,
-        // not a 100-access run.
-        auto v = util::parseUint(env);
-        if (v && *v > 0)
-            return *v;
-        fvc_warn("ignoring bad FVC_TRACE_ACCESSES value: ", env);
-    }
-    return 2000000;
+    return util::knobCount("FVC_TRACE_ACCESSES", 2000000, 1,
+                           UINT64_MAX);
 }
 
 } // namespace fvc::harness

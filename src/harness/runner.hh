@@ -89,8 +89,8 @@ prepareTraceSharded(const workload::BenchmarkProfile &profile,
                     uint64_t accesses, uint64_t seed, size_t top_k,
                     uint32_t shards, unsigned jobs = 0);
 
-/** FVC_GEN_SHARDS (strict-parsed, clamped to
- * [1, workload::kMaxGenShards]); 1 when unset. */
+/** FVC_GEN_SHARDS, in [1, workload::kMaxGenShards]; 1 when unset
+ * or bad. */
 uint32_t genShards();
 
 /** Install the preload image (the memory state the program built

@@ -1,6 +1,5 @@
 #include "harness/trace_repo.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -8,6 +7,7 @@
 
 #include "memmodel/functional_memory.hh"
 #include "trace/trace_store.hh"
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "workload/fingerprint.hh"
@@ -31,8 +31,7 @@ mix64(uint64_t z)
 bool
 expectWarm()
 {
-    const char *env = std::getenv("FVC_TRACE_EXPECT_WARM");
-    return env && *env && std::string(env) != "0";
+    return util::knobFlag("FVC_TRACE_EXPECT_WARM");
 }
 
 } // namespace
@@ -58,27 +57,13 @@ storeMode()
 {
     if (traceStoreDir().empty())
         return StoreMode::Disabled;
-    const char *env = std::getenv("FVC_TRACE_STORE");
-    if (!env || !*env)
-        return StoreMode::ReadWrite;
-    const std::string value(env);
-    if (value == "on" || value == "1")
-        return StoreMode::ReadWrite;
-    if (value == "off" || value == "0")
-        return StoreMode::Disabled;
-    if (value == "readonly")
-        return StoreMode::ReadOnly;
-    fvc_warn("ignoring bad FVC_TRACE_STORE value "
-             "(want on/off/readonly): ",
-             env);
-    return StoreMode::ReadWrite;
+    return util::knobStoreMode("FVC_TRACE_STORE");
 }
 
 std::string
 traceStoreDir()
 {
-    const char *env = std::getenv("FVC_TRACE_DIR");
-    return env ? std::string(env) : std::string();
+    return util::knobText("FVC_TRACE_DIR");
 }
 
 const char *
@@ -215,16 +200,11 @@ loadTraceFile(const std::string &path)
 size_t
 TraceRepository::capBytes()
 {
-    if (const char *env = std::getenv("FVC_TRACE_CACHE_MB")) {
-        // Strict parse: "64x" is a user error, not a 64 MB cap.
-        auto v = util::parseUint(env);
-        if (v && *v <= std::numeric_limits<size_t>::max() /
-                          (1024 * 1024)) {
-            return static_cast<size_t>(*v) * 1024 * 1024;
-        }
-        fvc_warn("ignoring bad FVC_TRACE_CACHE_MB value: ", env);
-    }
-    return std::numeric_limits<size_t>::max();
+    const uint64_t mb = util::knobCount("FVC_TRACE_CACHE_MB",
+                                        UINT64_MAX, 0,
+                                        UINT64_MAX >> 20);
+    return mb == UINT64_MAX ? std::numeric_limits<size_t>::max()
+                            : static_cast<size_t>(mb << 20);
 }
 
 size_t

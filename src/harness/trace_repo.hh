@@ -25,7 +25,7 @@
  * (serve hits, never write — e.g. a shared read-only trace cache).
  *
  * Memory bound: FVC_TRACE_CACHE_MB caps the repository's resident
- * *heap* footprint (strict-parsed megabytes; unset = unbounded).
+ * *heap* footprint (megabytes; unset = unbounded).
  * Mapped traces count only their heap side (images, frequent
  * values) — the column bytes are the kernel page cache's, not
  * ours — and eviction prefers heap-resident traces over cheap
@@ -49,6 +49,7 @@
 
 #include "harness/runner.hh"
 #include "util/error.hh"
+#include "util/knobs.hh"
 
 namespace fvc::harness {
 
@@ -79,13 +80,9 @@ struct TraceKeyHash
 };
 
 /** Persistent-store mode, from FVC_TRACE_DIR + FVC_TRACE_STORE. */
-enum class StoreMode {
-    Disabled,
-    ReadWrite,
-    ReadOnly,
-};
+using StoreMode = util::StoreMode;
 
-/** The active store mode (env read per call; tests toggle it). */
+/** The active store mode: Disabled without a store directory. */
 StoreMode storeMode();
 
 /** FVC_TRACE_DIR, or empty when unset. */
@@ -186,7 +183,8 @@ class TraceRepository
         bool mapped = false;
     };
 
-    /** FVC_TRACE_CACHE_MB in bytes; SIZE_MAX when unbounded. */
+    /** FVC_TRACE_CACHE_MB in bytes (at most UINT64_MAX / 2^20 MB);
+     * SIZE_MAX when unbounded. */
     static size_t capBytes();
 
     /** Evict ready LRU entries (except @p keep) until under cap,

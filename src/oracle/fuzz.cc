@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -350,8 +351,8 @@ runCell(const FuzzCell &cell, const DiffRunner &runner)
 uint64_t
 fuzzBudget(uint64_t fallback)
 {
-    const char *raw = std::getenv("FVC_FUZZ_BUDGET");
-    if (!raw || !*raw)
+    const std::string raw = util::knobText("FVC_FUZZ_BUDGET");
+    if (raw.empty())
         return fallback;
     auto parsed = util::parseUint(raw);
     if (!parsed || *parsed == 0) {

@@ -1,9 +1,8 @@
 #include "oracle/oracle_dmc_fvc.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -12,18 +11,18 @@ namespace fvc::oracle {
 Mutation
 mutationFromEnv()
 {
-    const char *env = std::getenv("FVC_ORACLE_MUTATE");
-    if (!env || !*env)
+    const std::string env = util::knobText("FVC_ORACLE_MUTATE");
+    if (env.empty())
         return Mutation::None;
-    if (std::strcmp(env, "skip-read-merge") == 0)
+    if (env == "skip-read-merge")
         return Mutation::SkipReadMerge;
-    if (std::strcmp(env, "wrong-reserved-code") == 0)
+    if (env == "wrong-reserved-code")
         return Mutation::WrongReservedCode;
-    if (std::strcmp(env, "stale-victim-scan") == 0)
+    if (env == "stale-victim-scan")
         return Mutation::StaleVictimScan;
-    if (std::strcmp(env, "skip-write-allocate") == 0)
+    if (env == "skip-write-allocate")
         return Mutation::SkipWriteAllocate;
-    if (std::strcmp(env, "no-write-dirty") == 0)
+    if (env == "no-write-dirty")
         return Mutation::NoWriteDirty;
     fvc_fatal("unknown FVC_ORACLE_MUTATE value: ", env,
               " (want skip-read-merge, wrong-reserved-code, "

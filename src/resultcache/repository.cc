@@ -1,7 +1,6 @@
 #include "resultcache/repository.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <tuple>
@@ -14,6 +13,7 @@
 #include "harness/trace_repo.hh"
 #include "resultcache/result_store.hh"
 #include "sim/multi_config.hh"
+#include "util/knobs.hh"
 #include "util/strings.hh"
 
 namespace fvc::resultcache {
@@ -26,8 +26,7 @@ namespace {
 bool
 expectWarm()
 {
-    const char *env = std::getenv("FVC_RESULT_EXPECT_WARM");
-    return env && *env && std::string(env) != "0";
+    return util::knobFlag("FVC_RESULT_EXPECT_WARM");
 }
 
 /** Cells the single-pass engine can carry: write-back DMC with no
@@ -129,27 +128,13 @@ resultMode()
 {
     if (resultDir().empty())
         return ResultMode::Disabled;
-    const char *env = std::getenv("FVC_RESULT_CACHE");
-    if (!env || !*env)
-        return ResultMode::ReadWrite;
-    const std::string value(env);
-    if (value == "on" || value == "1")
-        return ResultMode::ReadWrite;
-    if (value == "off" || value == "0")
-        return ResultMode::Disabled;
-    if (value == "readonly")
-        return ResultMode::ReadOnly;
-    fvc_warn("ignoring bad FVC_RESULT_CACHE value "
-             "(want on/off/readonly): ",
-             env);
-    return ResultMode::ReadWrite;
+    return util::knobStoreMode("FVC_RESULT_CACHE");
 }
 
 std::string
 resultDir()
 {
-    const char *env = std::getenv("FVC_RESULT_DIR");
-    return env ? std::string(env) : std::string();
+    return util::knobText("FVC_RESULT_DIR");
 }
 
 std::string
@@ -171,15 +156,10 @@ resultCacheStateName()
 uint64_t
 resultCapBytes()
 {
-    const char *env = std::getenv("FVC_RESULT_CACHE_MB");
-    if (!env || !*env)
-        return UINT64_MAX;
-    auto parsed = util::parseUint(env);
-    if (!parsed) {
-        fvc_warn("ignoring bad FVC_RESULT_CACHE_MB value: ", env);
-        return UINT64_MAX;
-    }
-    return *parsed * 1024 * 1024;
+    const uint64_t mb = util::knobCount("FVC_RESULT_CACHE_MB",
+                                        UINT64_MAX, 0,
+                                        UINT64_MAX >> 20);
+    return mb == UINT64_MAX ? UINT64_MAX : mb << 20;
 }
 
 uint64_t
@@ -353,7 +333,7 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
         fabric::FabricOutcome outcome = runner.run();
         if (!outcome.failures.empty()) {
             harness::reportSweepFailures(
-                fabric::toJobFailures(outcome),
+                outcome.failures,
                 miss_indices.size(), what);
         }
         miss_results = std::move(outcome.results);

@@ -21,15 +21,13 @@
  * as store hits, publishes them with the fresh results, and removes
  * the spills only once that publish succeeded.
  *
- * Environment (mirroring the trace store's knobs):
- *  - FVC_RESULT_DIR: store directory; unset disables the cache.
- *  - FVC_RESULT_CACHE: "on"/"1" (default when the dir is set),
- *    "off"/"0", or "readonly" (serve hits, never publish).
- *  - FVC_RESULT_CACHE_MB: store size cap in megabytes
- *    (strict-parsed; unset = unbounded). Admission keeps the most
- *    expensive cells (see result_store.hh).
- *  - FVC_RESULT_EXPECT_WARM: any dispatched simulation is a hard
- *    failure — the zero-simulation acceptance gate.
+ * Environment (the trace store's knobs, mirrored; EXPERIMENTS.md's
+ * knob table has the values): FVC_RESULT_DIR names the store (unset
+ * disables the cache), FVC_RESULT_CACHE picks on, off or readonly
+ * (serve hits, never publish), FVC_RESULT_CACHE_MB caps the store
+ * (admission keeps the most expensive cells, see result_store.hh),
+ * and FVC_RESULT_EXPECT_WARM makes any dispatched simulation a hard
+ * failure — the zero-simulation acceptance gate.
  */
 
 #ifndef FVC_RESULTCACHE_REPOSITORY_HH_
@@ -43,17 +41,14 @@
 
 #include "fabric/cell.hh"
 #include "fabric/spill.hh"
+#include "util/knobs.hh"
 
 namespace fvc::resultcache {
 
 /** Result-cache mode, from FVC_RESULT_DIR + FVC_RESULT_CACHE. */
-enum class ResultMode {
-    Disabled,
-    ReadWrite,
-    ReadOnly,
-};
+using ResultMode = util::StoreMode;
 
-/** The active mode (env read per call; tests toggle it). */
+/** The active mode: Disabled without a store directory. */
 ResultMode resultMode();
 
 /** FVC_RESULT_DIR, or empty when unset. */
@@ -70,7 +65,8 @@ std::string resultFilePath();
  */
 const char *resultCacheStateName();
 
-/** FVC_RESULT_CACHE_MB in bytes; UINT64_MAX when unbounded. */
+/** FVC_RESULT_CACHE_MB in bytes (at most UINT64_MAX / 2^20 MB);
+ * UINT64_MAX when unbounded. */
 uint64_t resultCapBytes();
 
 /**

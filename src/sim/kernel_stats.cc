@@ -1,32 +1,20 @@
 #include "sim/kernel_stats.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include "util/knobs.hh"
 
 namespace fvc::sim {
 
 bool
-laneKernelStatsEnvEnabled(const char *value)
+laneKernelStatsEnvEnabled()
 {
-    if (value == nullptr || *value == '\0' ||
-        std::strcmp(value, "0") == 0) {
-        return false;
-    }
-    if (std::strcmp(value, "1") == 0)
-        return true;
-    std::fprintf(stderr,
-                 "fvc: unrecognized FVC_KERNEL_STATS value '%s' "
-                 "(expected 0 or 1); kernel stats stay off\n",
-                 value);
-    return false;
+    return util::knobChoice("FVC_KERNEL_STATS",
+                            {{"0", false}, {"1", true}}, false);
 }
 
 bool
 laneKernelStatsEnabled()
 {
-    static const bool enabled =
-        laneKernelStatsEnvEnabled(std::getenv("FVC_KERNEL_STATS"));
+    static const bool enabled = laneKernelStatsEnvEnabled();
     return enabled;
 }
 

@@ -48,13 +48,12 @@ struct LaneKernelStats
 };
 
 /**
- * True iff the given FVC_KERNEL_STATS value enables the counters.
- * Strict parse, same contract as FVC_SIMD: exactly "1" is on,
- * exactly "0" (or unset) is off, anything else warns and stays off.
- * Exposed separately from the cached query so tests can exercise
- * the parse without process-global caching getting in the way.
+ * FVC_KERNEL_STATS, read per call (util::knobChoice): "1" is on,
+ * "0" (or unset) is off, anything else warns and stays off. Exposed
+ * separately from the cached query so tests can exercise the parse
+ * without process-global caching getting in the way.
  */
-bool laneKernelStatsEnvEnabled(const char *value);
+bool laneKernelStatsEnvEnabled();
 
 /** The FVC_KERNEL_STATS knob, read once and cached (the kernel
  * consults this per block). */

@@ -1,10 +1,9 @@
 #include "sim/simd_dispatch.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "sim/lane_kernel.hh"
+#include "util/knobs.hh"
 #include "util/logging.hh"
 
 namespace fvc::sim {
@@ -12,17 +11,11 @@ namespace fvc::sim {
 SimdMode
 simdMode()
 {
-    if (const char *env = std::getenv("FVC_SIMD")) {
-        if (std::strcmp(env, "auto") == 0)
-            return SimdMode::Auto;
-        if (std::strcmp(env, "on") == 0)
-            return SimdMode::On;
-        if (std::strcmp(env, "off") == 0)
-            return SimdMode::Off;
-        fvc_warn("ignoring bad FVC_SIMD value: ", env,
-                 " (want auto, on, or off)");
-    }
-    return SimdMode::Auto;
+    return util::knobChoice<SimdMode>("FVC_SIMD",
+                                      {{"auto", SimdMode::Auto},
+                                       {"on", SimdMode::On},
+                                       {"off", SimdMode::Off}},
+                                      SimdMode::Auto);
 }
 
 const char *

@@ -1,7 +1,6 @@
 #include "util/error.hh"
 
-#include <cstdlib>
-#include <cstring>
+#include "util/knobs.hh"
 
 namespace fvc::util {
 
@@ -39,8 +38,7 @@ Error::describe() const
 bool
 strictMode()
 {
-    const char *env = std::getenv("FVC_STRICT");
-    return env && *env && std::strcmp(env, "0") != 0;
+    return knobFlag("FVC_STRICT");
 }
 
 } // namespace fvc::util

@@ -35,7 +35,7 @@ enum class ErrorCode {
     Format,
     /** Input ended before the advertised amount of data. */
     Truncated,
-    /** A bounded wait elapsed (sweep-job watchdog). */
+    /** A bounded wait elapsed (a daemon reply). */
     Timeout,
     /** A value is outside its documented domain. */
     Invalid,
@@ -107,23 +107,9 @@ class Expected
 };
 
 /**
- * Exception marking a *transient* failure: retrying the same
- * operation may succeed (resource exhaustion, a racing writer).
- * The sweep harness retries jobs that throw this up to FVC_RETRIES
- * times; any other exception type is classified fatal and fails the
- * job on first throw.
- */
-class TransientError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * True iff FVC_STRICT is set to a non-empty value other than "0":
- * harness code then fails fast (nonzero exit) on conditions it would
- * otherwise degrade around (failed sweep jobs, unwritable CSV dir).
- * Read per call so tests can toggle it.
+ * True iff the FVC_STRICT flag is on: harness code then fails fast
+ * (nonzero exit) on conditions it would otherwise degrade around
+ * (failed sweep jobs, unwritable CSV dir).
  */
 bool strictMode();
 

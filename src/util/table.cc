@@ -1,10 +1,10 @@
 #include "util/table.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 
 #include "util/error.hh"
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -130,10 +130,10 @@ Table::renderCsv() const
 bool
 Table::exportCsv(const std::string &name) const
 {
-    const char *dir = std::getenv("FVC_CSV_DIR");
-    if (!dir || !*dir)
+    const std::string dir = knobText("FVC_CSV_DIR");
+    if (dir.empty())
         return false;
-    std::string path = std::string(dir) + "/" + name + ".csv";
+    std::string path = dir + "/" + name + ".csv";
     // Losing requested output silently is worse than dying: name
     // the env var and the likely cause, and in strict mode make it
     // a nonzero exit.

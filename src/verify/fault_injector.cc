@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/knobs.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -130,8 +131,8 @@ FaultSpec::parse(const std::string &text)
 std::optional<FaultSpec>
 FaultSpec::fromEnv()
 {
-    const char *env = std::getenv("FVC_FAULT_SPEC");
-    if (!env || !*env)
+    const std::string env = util::knobText("FVC_FAULT_SPEC");
+    if (env.empty())
         return std::nullopt;
     auto spec = parse(env);
     if (!spec.ok())

@@ -2,7 +2,7 @@
  * @file
  * Tests for the sweep daemon: protocol codec round-trips and
  * malformed-payload rejection, the FrameBuffer's stream reassembly
- * and poisoning, strict FVC_DAEMON* knob parsing, live-daemon
+ * and poisoning, FVC_DAEMON and socket-path knobs, live-daemon
  * serving parity against direct simulation, a >=10k-frame malformed
  * fuzz against a live daemon, forked multi-client dedup proven by
  * repository counters, lifecycle (stale-socket rebind, live-daemon
@@ -29,7 +29,6 @@
 #include <unistd.h>
 
 #include "daemon/client.hh"
-#include "daemon/knobs.hh"
 #include "daemon/protocol.hh"
 #include "daemon/server.hh"
 #include "fabric/cell.hh"
@@ -38,6 +37,8 @@
 #include "resultcache/result_store.hh"
 #include "util/framed.hh"
 #include "workload/profile.hh"
+
+#include "env_guard.hh"
 
 namespace fd = fvc::daemon;
 namespace fb = fvc::fabric;
@@ -50,84 +51,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Saves and clears the daemon/cache environment, restoring it on
- * destruction so these tests cannot leak state into the rest of the
- * suite (all tests share one process). */
-class EnvGuard
-{
-  public:
-    EnvGuard()
-    {
-        for (const char *name : kVars) {
-            const char *value = std::getenv(name);
-            saved_.emplace_back(
-                name, value ? std::optional<std::string>(value)
-                            : std::nullopt);
-            ::unsetenv(name);
-        }
-    }
-
-    ~EnvGuard()
-    {
-        for (const auto &[name, value] : saved_) {
-            if (value)
-                ::setenv(name, value->c_str(), 1);
-            else
-                ::unsetenv(name);
-        }
-    }
-
-    static void
-    set(const char *name, const std::string &value)
-    {
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    static void unset(const char *name) { ::unsetenv(name); }
-
-  private:
-    static constexpr const char *kVars[] = {
-        "FVC_DAEMON",          "FVC_DAEMON_SOCK",
-        "FVC_DAEMON_RETRIES",  "FVC_DAEMON_TIMEOUT_MS",
-        "FVC_DAEMON_BATCH_MS", "FVC_RESULT_DIR",
-        "FVC_RESULT_CACHE",    "FVC_RESULT_EXPECT_WARM",
-        "FVC_TRACE_DIR",       "FVC_WORKERS",
-        "FVC_FAULT_SPEC",      "FVC_GEN_SHARDS",
-        "FVC_STRICT"};
-    std::vector<std::pair<const char *, std::optional<std::string>>>
-        saved_;
-};
-
-/** A unique per-test scratch directory, removed on destruction. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        static int counter = 0;
-        path_ = fs::temp_directory_path() /
-                ("fvc-daemon-test-" + std::to_string(::getpid()) +
-                 "-" + std::to_string(counter++));
-        fs::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const fs::path &path() const { return path_; }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-
-  private:
-    fs::path path_;
-};
+using fvc::test::EnvGuard;
+using fvc::test::TempDir;
 
 /** A tiny bare-DMC cell (fast enough to simulate in tests). Use a
  * distinct @p seed per test so fingerprints never collide across
@@ -528,7 +453,7 @@ TEST(DaemonFrameBufferTest, PoisonsPermanentlyOnCorruption)
 }
 
 // ---------------------------------------------------------------
-// FVC_DAEMON* knobs: strict parsing, warn + default on bad values.
+// FVC_DAEMON and FVC_DAEMON_SOCK: warn + default on bad values.
 // ---------------------------------------------------------------
 
 TEST(DaemonKnobsTest, ModeParsesStrictly)
@@ -549,39 +474,6 @@ TEST(DaemonKnobsTest, ModeParsesStrictly)
     EXPECT_STREQ(fd::daemonModeName(fd::DaemonMode::On), "on");
     EXPECT_STREQ(fd::daemonModeName(fd::DaemonMode::Off), "off");
     EXPECT_STREQ(fd::daemonModeName(fd::DaemonMode::Auto), "auto");
-}
-
-TEST(DaemonKnobsTest, NumericKnobsParseStrictly)
-{
-    EnvGuard env;
-    EXPECT_EQ(fd::daemonRetries(), 3u);
-    EXPECT_EQ(fd::daemonTimeoutMs(), 2000u);
-    EXPECT_EQ(fd::daemonBatchMs(), 5u);
-
-    EnvGuard::set("FVC_DAEMON_RETRIES", "7");
-    EnvGuard::set("FVC_DAEMON_TIMEOUT_MS", "1500");
-    EnvGuard::set("FVC_DAEMON_BATCH_MS", "9");
-    EXPECT_EQ(fd::daemonRetries(), 7u);
-    EXPECT_EQ(fd::daemonTimeoutMs(), 1500u);
-    EXPECT_EQ(fd::daemonBatchMs(), 9u);
-
-    // A zero batch window is a legal "dispatch immediately".
-    EnvGuard::set("FVC_DAEMON_BATCH_MS", "0");
-    EXPECT_EQ(fd::daemonBatchMs(), 0u);
-
-    // Bad values warn and fall back to the documented defaults —
-    // trailing junk, empty, negative, and zero-where-meaningless
-    // are all rejected by the strict parser.
-    EnvGuard::set("FVC_DAEMON_RETRIES", "3x");
-    EnvGuard::set("FVC_DAEMON_TIMEOUT_MS", "0");
-    EnvGuard::set("FVC_DAEMON_BATCH_MS", "-4");
-    EXPECT_EQ(fd::daemonRetries(), 3u);
-    EXPECT_EQ(fd::daemonTimeoutMs(), 2000u);
-    EXPECT_EQ(fd::daemonBatchMs(), 5u);
-    EnvGuard::set("FVC_DAEMON_RETRIES", "");
-    EnvGuard::set("FVC_DAEMON_TIMEOUT_MS", "abc");
-    EXPECT_EQ(fd::daemonRetries(), 3u);
-    EXPECT_EQ(fd::daemonTimeoutMs(), 2000u);
 }
 
 TEST(DaemonKnobsTest, SocketPathHonorsEnvironment)

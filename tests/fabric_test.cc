@@ -37,73 +37,21 @@
 #include "resultcache/repository.hh"
 #include "verify/fault_injector.hh"
 
+#include "env_guard.hh"
+
 namespace fb = fvc::fabric;
 namespace fw = fvc::workload;
 namespace fv = fvc::verify;
 
 namespace {
 
+using fvc::test::EnvGuard;
+using fvc::test::ScopedEnv;
+using fvc::test::TempDir;
+
 // Small traces keep the whole matrix fast; determinism does not
 // depend on trace length.
 constexpr uint64_t kAccesses = 20000;
-
-/** Per-test scratch directory, removed (files + dir) afterwards. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/fvc-fabric-test-XXXXXX";
-        const char *made = ::mkdtemp(tmpl);
-        EXPECT_NE(made, nullptr);
-        path_ = made ? made : "";
-    }
-
-    ~TempDir()
-    {
-        if (path_.empty())
-            return;
-        if (DIR *d = ::opendir(path_.c_str())) {
-            while (struct dirent *entry = ::readdir(d)) {
-                std::string name = entry->d_name;
-                if (name != "." && name != "..")
-                    ::unlink((path_ + "/" + name).c_str());
-            }
-            ::closedir(d);
-        }
-        ::rmdir(path_.c_str());
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** An env var set for one scope (workers inherit it at fork),
- * restored on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const std::string &value)
-        : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            old_ = old;
-        setenv(name, value.c_str(), 1);
-    }
-    ~ScopedEnv()
-    {
-        if (old_)
-            setenv(name_, old_->c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    std::optional<std::string> old_;
-};
 
 /** The standard matrix: 4 SPECint95 profiles x {DMC, DMC+FVC}. */
 std::vector<fb::CellSpec>
@@ -232,7 +180,7 @@ TEST(SharedQueueTest, ClaimDoneLifecycle)
     for (size_t i = 0; i < seeds.size(); ++i)
         seeds[i] = {i, 100 + i};
     auto created = fb::SharedQueue::create(
-        dir.path() + "/queue-1.fvcq", seeds, 3, 60000, 99);
+        dir.file("queue-1.fvcq"), seeds, 3, 60000, 99);
     ASSERT_TRUE(created.ok()) << created.error().describe();
     fb::SharedQueue queue = std::move(created.value());
 
@@ -260,7 +208,7 @@ TEST(SharedQueueTest, StealGuardsAgainstStaleOwner)
     TempDir dir;
     std::vector<fb::CellSeed> seeds(1);
     auto created = fb::SharedQueue::create(
-        dir.path() + "/queue-1.fvcq", seeds, 5, 50, 1);
+        dir.file("queue-1.fvcq"), seeds, 5, 50, 1);
     ASSERT_TRUE(created.ok());
     fb::SharedQueue queue = std::move(created.value());
 
@@ -283,7 +231,7 @@ TEST(SharedQueueTest, RetryBudgetDegradesToFailed)
     TempDir dir;
     std::vector<fb::CellSeed> seeds(1);
     auto created = fb::SharedQueue::create(
-        dir.path() + "/queue-1.fvcq", seeds, 2, 50, 1);
+        dir.file("queue-1.fvcq"), seeds, 2, 50, 1);
     ASSERT_TRUE(created.ok());
     fb::SharedQueue queue = std::move(created.value());
 
@@ -306,7 +254,7 @@ TEST(SharedQueueTest, DemoteUnpublishedRequeuesDoneCell)
     TempDir dir;
     std::vector<fb::CellSeed> seeds(1);
     auto created = fb::SharedQueue::create(
-        dir.path() + "/queue-1.fvcq", seeds, 3, 50, 1);
+        dir.file("queue-1.fvcq"), seeds, 3, 50, 1);
     ASSERT_TRUE(created.ok());
     fb::SharedQueue queue = std::move(created.value());
 
@@ -323,7 +271,7 @@ TEST(SharedQueueTest, DemoteUnpublishedRequeuesDoneCell)
 TEST(SpillTest, RoundTripsRecordsWithHeader)
 {
     TempDir dir;
-    const std::string path = dir.path() + "/w0-1.part";
+    const std::string path = dir.file("w0-1.part");
     fb::SpillHeader header{11, 33, 0};
     auto writer = fb::SpillWriter::open(path, header);
     ASSERT_TRUE(writer.ok()) << writer.error().describe();
@@ -349,7 +297,7 @@ TEST(SpillTest, RoundTripsRecordsWithHeader)
 TEST(SpillTest, ToleratesTornTailAfterCrash)
 {
     TempDir dir;
-    const std::string path = dir.path() + "/w0-1.part";
+    const std::string path = dir.file("w0-1.part");
     auto writer = fb::SpillWriter::open(path, {1, 3, 0});
     ASSERT_TRUE(writer.ok());
     ASSERT_FALSE(writer.value().append(sampleRecord(0, 500)));
@@ -371,7 +319,7 @@ TEST(SpillTest, ToleratesTornTailAfterCrash)
 TEST(SpillTest, RejectsCorruptFrameButKeepsNeighbours)
 {
     TempDir dir;
-    const std::string path = dir.path() + "/w0-1.part";
+    const std::string path = dir.file("w0-1.part");
     auto writer = fb::SpillWriter::open(path, {1, 3, 0});
     ASSERT_TRUE(writer.ok());
     ASSERT_FALSE(writer.value().append(sampleRecord(0, 500)));
@@ -412,32 +360,29 @@ TEST(FabricFaultSpecTest, ParsesFabricKeys)
 
 TEST(FabricEnvTest, StrictWorkerAndLeaseParsing)
 {
-    unsetenv("FVC_WORKERS");
+    EnvGuard env;
     EXPECT_FALSE(fb::configuredWorkers().has_value());
-    setenv("FVC_WORKERS", "4", 1);
+    EnvGuard::set("FVC_WORKERS", "4");
     EXPECT_EQ(fb::configuredWorkers(), 4u);
-    setenv("FVC_WORKERS", "0", 1);
+    EnvGuard::set("FVC_WORKERS", "0");
     EXPECT_FALSE(fb::configuredWorkers().has_value());
-    setenv("FVC_WORKERS", "2x", 1);
+    EnvGuard::set("FVC_WORKERS", "2x");
     EXPECT_FALSE(fb::configuredWorkers().has_value());
-    unsetenv("FVC_WORKERS");
+    EnvGuard::unset("FVC_WORKERS");
 
-    unsetenv("FVC_LEASE_MS");
     EXPECT_EQ(fb::leaseMs(), 2000u);
-    setenv("FVC_LEASE_MS", "150", 1);
+    EnvGuard::set("FVC_LEASE_MS", "150");
     EXPECT_EQ(fb::leaseMs(), 150u);
-    setenv("FVC_LEASE_MS", "5", 1); // below the floor
+    EnvGuard::set("FVC_LEASE_MS", "5"); // below the floor
     EXPECT_EQ(fb::leaseMs(), 2000u);
-    setenv("FVC_LEASE_MS", "soon", 1);
+    EnvGuard::set("FVC_LEASE_MS", "soon");
     EXPECT_EQ(fb::leaseMs(), 2000u);
-    unsetenv("FVC_LEASE_MS");
+    EnvGuard::unset("FVC_LEASE_MS");
 
-    unsetenv("FVC_FABRIC_DIR");
     EXPECT_FALSE(fb::fabricDirConfigured());
-    setenv("FVC_FABRIC_DIR", "/tmp/somewhere", 1);
+    EnvGuard::set("FVC_FABRIC_DIR", "/tmp/somewhere");
     EXPECT_TRUE(fb::fabricDirConfigured());
     EXPECT_EQ(fb::fabricDir(), "/tmp/somewhere");
-    unsetenv("FVC_FABRIC_DIR");
 }
 
 // --- stale-file cleanup -----------------------------------------
@@ -449,12 +394,9 @@ TEST(FabricCleanupTest, HarvestsDeadPidSpillsAndDropsDeadQueues)
     // config): everything it "owns" is stale.
     const std::string dead = "399999999";
     const std::string live = std::to_string(::getpid());
-    const std::string dead_queue =
-        dir.path() + "/queue-" + dead + ".fvcq";
-    const std::string dead_spill =
-        dir.path() + "/w0-" + dead + ".part";
-    const std::string live_spill =
-        dir.path() + "/w1-" + live + ".part";
+    const std::string dead_queue = dir.file("queue-" + dead + ".fvcq");
+    const std::string dead_spill = dir.file("w0-" + dead + ".part");
+    const std::string live_spill = dir.file("w1-" + live + ".part");
 
     int fd = ::creat(dead_queue.c_str(), 0644);
     ASSERT_NE(fd, -1);
@@ -501,7 +443,7 @@ TEST(FabricCleanupTest, UnreapedWorkerCountsAsDead)
     ASSERT_EQ(::waitid(P_PID, zombie, &info, WEXITED | WNOWAIT), 0);
     {
         auto writer = fb::SpillWriter::open(
-            dir.path() + "/w0-" + std::to_string(zombie) + ".part",
+            dir.file("w0-" + std::to_string(zombie) + ".part"),
             {9, static_cast<uint32_t>(zombie), 0});
         ASSERT_TRUE(writer.ok());
         ASSERT_FALSE(writer.value().append(sampleRecord(0, 600)));
@@ -661,6 +603,8 @@ TEST(FabricTest, StickyKillExhaustsRetryBudget)
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_FALSE(outcome.ok());
+    // The failures are the thread backend's JobFailure, rendered as
+    // FAILED cells by harness::reportSweepFailures.
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].index, 0u);
     EXPECT_EQ(outcome.failures[0].attempts, 2u);
@@ -674,12 +618,6 @@ TEST(FabricTest, StickyKillExhaustsRetryBudget)
         ASSERT_TRUE(outcome.results[i].has_value());
         EXPECT_TRUE(outcome.results[i]->identical(serial[i]));
     }
-    // And the failures convert into the thread backend's type for
-    // identical FAILED-cell rendering.
-    auto jf = fb::toJobFailures(outcome);
-    ASSERT_EQ(jf.size(), 1u);
-    EXPECT_EQ(jf[0].index, 0u);
-    EXPECT_EQ(jf[0].attempts, 2u);
 }
 
 TEST(FabricTest, ResumeSimulatesOnlyUnfinishedCells)

@@ -7,10 +7,10 @@
  * to explore fresh cells or to replay a soak failure.
  */
 
-#include <cstdlib>
 #include <gtest/gtest.h>
 
 #include "oracle/fuzz.hh"
+#include "util/knobs.hh"
 #include "util/strings.hh"
 
 namespace {
@@ -21,8 +21,8 @@ constexpr uint64_t kDefaultSeed = 20260805;
 TEST(FuzzSmoke, BudgetedSeededCells)
 {
     uint64_t seed = kDefaultSeed;
-    if (const char *raw = std::getenv("FVC_FUZZ_SEED");
-        raw && *raw) {
+    if (const std::string raw = fvc::util::knobText("FVC_FUZZ_SEED");
+        !raw.empty()) {
         auto parsed = fvc::util::parseUint(raw);
         ASSERT_TRUE(parsed.has_value())
             << "FVC_FUZZ_SEED must be a decimal integer, got '"

@@ -10,11 +10,14 @@
 #include "harness/runner.hh"
 #include "profiling/access_profiler.hh"
 
+#include "env_guard.hh"
+
 namespace fh = fvc::harness;
 namespace fw = fvc::workload;
 namespace fc = fvc::cache;
 namespace co = fvc::core;
 namespace fp = fvc::profiling;
+using fvc::test::EnvGuard;
 
 TEST(RunnerTest, PrepareTraceProfilesValues)
 {
@@ -110,9 +113,10 @@ TEST(RunnerTest, RunDmcFvcUsesProfiledValues)
 
 TEST(RunnerTest, DefaultAccessesRespectsEnvironment)
 {
-    setenv("FVC_TRACE_ACCESSES", "12345", 1);
+    EnvGuard env;
+    EnvGuard::set("FVC_TRACE_ACCESSES", "12345");
     EXPECT_EQ(fh::defaultTraceAccesses(), 12345u);
-    unsetenv("FVC_TRACE_ACCESSES");
+    EnvGuard::unset("FVC_TRACE_ACCESSES");
     EXPECT_EQ(fh::defaultTraceAccesses(), 2000000u);
 }
 
@@ -120,12 +124,12 @@ TEST(RunnerTest, DefaultAccessesRejectsMalformedEnvironment)
 {
     // Trailing garbage is a user error, not a truncated run: the
     // whole value is rejected and the default used instead.
+    EnvGuard env;
     for (const char *bad : {"100x", "1e6", "0", "-5", "", " 100"}) {
-        setenv("FVC_TRACE_ACCESSES", bad, 1);
+        EnvGuard::set("FVC_TRACE_ACCESSES", bad);
         EXPECT_EQ(fh::defaultTraceAccesses(), 2000000u)
             << "FVC_TRACE_ACCESSES=" << bad;
     }
-    unsetenv("FVC_TRACE_ACCESSES");
 }
 
 TEST(PaperDataTest, Table4CoversAllBenchmarks)

@@ -11,40 +11,12 @@
 
 #include "oracle/fuzz.hh"
 
+#include "env_guard.hh"
+
 namespace {
 
 using namespace fvc;
-
-/** Set/unset an environment variable for one scope. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had_old_)
-            setenv(name_, old_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_old_ = false;
-    std::string old_;
-};
+using test::ScopedEnv;
 
 TEST(OracleMutationTest, EnvParsing)
 {

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the parallel sweep engine: FVC_JOBS parsing, the thread
- * pool, SweepRunner's deterministic result ordering, the shared
- * TraceRepository's memoization under concurrent lookup, and
- * single-pass groups — whole or split over one shared trace —
- * replayed on concurrent pool workers.
+ * Tests for the parallel sweep engine: FVC_JOBS and FVC_RETRIES
+ * range checks, the thread pool, SweepRunner's deterministic result
+ * ordering, the shared TraceRepository's memoization under
+ * concurrent lookup, and single-pass groups — whole or split over
+ * one shared trace — replayed on concurrent pool workers.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "cache/cache_system.hh"
+#include "fabric/fabric.hh"
 #include "fabric/spill.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
@@ -25,14 +26,21 @@
 #include "harness/trace_repo.hh"
 #include "sim/multi_config.hh"
 #include "util/error.hh"
+#include "util/logging.hh"
 #include "util/strings.hh"
 
+#include "env_guard.hh"
+
+namespace fb = fvc::fabric;
 namespace fh = fvc::harness;
 namespace fw = fvc::workload;
 namespace fc = fvc::cache;
 namespace co = fvc::core;
 
 namespace {
+
+using fvc::test::EnvGuard;
+using fvc::test::ScopedEnv;
 
 /** Exact per-config miss counts: bit-identical or bust. */
 struct MissCounts
@@ -99,22 +107,49 @@ runGrid(fh::ThreadPool &pool)
 
 TEST(JobCountTest, RespectsEnvironment)
 {
-    setenv("FVC_JOBS", "3", 1);
+    EnvGuard env;
+    EnvGuard::set("FVC_JOBS", "3");
     EXPECT_EQ(fh::jobCount(), 3u);
-    setenv("FVC_JOBS", "1", 1);
+    EnvGuard::set("FVC_JOBS", "1");
     EXPECT_EQ(fh::jobCount(), 1u);
-    unsetenv("FVC_JOBS");
+    EnvGuard::unset("FVC_JOBS");
     EXPECT_GE(fh::jobCount(), 1u);
 }
 
 TEST(JobCountTest, RejectsGarbage)
 {
+    EnvGuard env;
     unsigned fallback = fh::jobCount();
     for (const char *bad : {"0", "-2", "abc", "4x", ""}) {
-        setenv("FVC_JOBS", bad, 1);
+        EnvGuard::set("FVC_JOBS", bad);
         EXPECT_EQ(fh::jobCount(), fallback) << "FVC_JOBS=" << bad;
     }
-    unsetenv("FVC_JOBS");
+}
+
+TEST(JobCountTest, RejectsValuesThatWouldNarrow)
+{
+    // Narrowed unchecked, 2^32 is 0 jobs (a silently serial sweep)
+    // and 0 retries. Only the readers run here: no pool is built
+    // while a bad FVC_JOBS is set.
+    EnvGuard env;
+    const unsigned jobs = fh::jobCount();
+    auto expectWarned = [](const char *name, const char *value,
+                           auto read, unsigned want) {
+        EnvGuard::set(name, value);
+        const uint64_t warns = fvc::util::warnCount();
+        EXPECT_EQ(read(), want) << name << "=" << value;
+        EXPECT_EQ(fvc::util::warnCount(), warns + 1);
+    };
+    for (const char *bad : {"4294967296", "1025"})
+        expectWarned("FVC_JOBS", bad, fh::jobCount, jobs);
+    EnvGuard::set("FVC_JOBS", "1024");
+    EXPECT_EQ(fh::jobCount(), 1024u);
+    EnvGuard::unset("FVC_JOBS");
+
+    for (const char *bad : {"4294967296", "250"})
+        expectWarned("FVC_RETRIES", bad, fb::sweepRetries, 2u);
+    EnvGuard::set("FVC_RETRIES", "249");
+    EXPECT_EQ(fb::sweepRetries(), 249u);
 }
 
 TEST(ThreadPoolTest, DrainsAllTasks)
@@ -206,97 +241,10 @@ TEST(SweepRunnerTest, RunCheckedReturnsPartialResults)
     EXPECT_EQ(outcome.results[3], 30);
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].index, 2u);
-    // A non-transient failure never retries.
+    // A thread-backend job runs once.
     EXPECT_EQ(outcome.failures[0].attempts, 1u);
-    EXPECT_FALSE(outcome.failures[0].timed_out);
     EXPECT_NE(outcome.failures[0].message.find("cell exploded"),
               std::string::npos);
-}
-
-TEST(SweepRunnerTest, TransientErrorsRetryUntilSuccess)
-{
-    setenv("FVC_RETRIES", "2", 1);
-    fh::ThreadPool pool(2);
-    fh::SweepRunner<int> sweep(pool);
-    auto flaky = std::make_shared<std::atomic<int>>(0);
-    sweep.submit([flaky]() -> int {
-        if (flaky->fetch_add(1) < 2)
-            throw fvc::util::TransientError("spurious failure");
-        return 99;
-    });
-    auto outcome = sweep.runChecked();
-    EXPECT_TRUE(outcome.ok());
-    ASSERT_TRUE(outcome.results[0].has_value());
-    EXPECT_EQ(*outcome.results[0], 99);
-    EXPECT_EQ(flaky->load(), 3);
-    unsetenv("FVC_RETRIES");
-}
-
-TEST(SweepRunnerTest, TransientErrorsExhaustRetries)
-{
-    setenv("FVC_RETRIES", "2", 1);
-    fh::ThreadPool pool(2);
-    fh::SweepRunner<int> sweep(pool);
-    auto calls = std::make_shared<std::atomic<int>>(0);
-    sweep.submit([calls]() -> int {
-        calls->fetch_add(1);
-        throw fvc::util::TransientError("always transient");
-    });
-    auto outcome = sweep.runChecked();
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    // 1 initial attempt + FVC_RETRIES extra ones.
-    EXPECT_EQ(outcome.failures[0].attempts, 3u);
-    EXPECT_EQ(calls->load(), 3);
-    unsetenv("FVC_RETRIES");
-}
-
-TEST(SweepRunnerTest, WatchdogDiscardsTimedOutResults)
-{
-    setenv("FVC_JOB_TIMEOUT_MS", "50", 1);
-    fh::ThreadPool pool(2);
-    fh::SweepRunner<int> sweep(pool);
-    sweep.submit([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        return 1;
-    });
-    sweep.submit([] { return 2; });
-    auto outcome = sweep.runChecked();
-    unsetenv("FVC_JOB_TIMEOUT_MS");
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_EQ(outcome.failures[0].index, 0u);
-    EXPECT_TRUE(outcome.failures[0].timed_out);
-    EXPECT_FALSE(outcome.results[0].has_value());
-    ASSERT_TRUE(outcome.results[1].has_value());
-    EXPECT_EQ(*outcome.results[1], 2);
-}
-
-TEST(SweepRunnerTest, WatchdogReportsButCannotReclaim)
-{
-    // The documented honesty contract of the thread backend: an
-    // expired job is *reported* as timed out and its result is
-    // discarded, but the thread cannot be killed — the job runs to
-    // completion and its side effects still happen. (The process
-    // backend in src/fabric/ is the one that actually kills and
-    // re-queues; see fabric_test.cc.)
-    setenv("FVC_JOB_TIMEOUT_MS", "50", 1);
-    auto side_effect = std::make_shared<std::atomic<bool>>(false);
-    fh::ThreadPool pool(2);
-    fh::SweepRunner<int> sweep(pool);
-    sweep.submit([side_effect] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        // Well past the deadline by now, yet still executing.
-        side_effect->store(true);
-        return 1;
-    });
-    auto outcome = sweep.runChecked();
-    unsetenv("FVC_JOB_TIMEOUT_MS");
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_TRUE(outcome.failures[0].timed_out);
-    EXPECT_FALSE(outcome.results[0].has_value());
-    // runChecked() returned only after the job finished: the
-    // watchdog never reclaimed the thread, so the side effect of
-    // the "killed" job is visible.
-    EXPECT_TRUE(side_effect->load());
 }
 
 TEST(SweepRunnerTest, FaultSpecFailsTheNamedGlobalJob)
@@ -306,13 +254,12 @@ TEST(SweepRunnerTest, FaultSpecFailsTheNamedGlobalJob)
     size_t current = fh::detail::nextGlobalSweepIndex();
     std::string spec =
         "sweep_job=" + std::to_string(current + 2);
-    setenv("FVC_FAULT_SPEC", spec.c_str(), 1);
+    ScopedEnv fault("FVC_FAULT_SPEC", spec);
     fh::ThreadPool pool(2);
     fh::SweepRunner<int> sweep(pool);
     for (int i = 0; i < 4; ++i)
         sweep.submit([i] { return i; });
     auto outcome = sweep.runChecked();
-    unsetenv("FVC_FAULT_SPEC");
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].index, 1u);
     EXPECT_NE(outcome.failures[0].message.find("fault injector"),

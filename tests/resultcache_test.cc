@@ -28,7 +28,10 @@
 #include "resultcache/result_store.hh"
 #include "util/error.hh"
 #include "util/framed.hh"
+#include "util/logging.hh"
 #include "workload/profile.hh"
+
+#include "env_guard.hh"
 
 namespace fb = fvc::fabric;
 namespace fc = fvc::cache;
@@ -41,82 +44,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Saves and clears the cache-related environment, restoring it on
- * destruction so these tests cannot leak state into the rest of the
- * suite (all tests share one process). */
-class EnvGuard
-{
-  public:
-    EnvGuard()
-    {
-        for (const char *name : kVars) {
-            const char *value = std::getenv(name);
-            saved_.emplace_back(
-                name, value ? std::optional<std::string>(value)
-                            : std::nullopt);
-            ::unsetenv(name);
-        }
-    }
-
-    ~EnvGuard()
-    {
-        for (const auto &[name, value] : saved_) {
-            if (value)
-                ::setenv(name, value->c_str(), 1);
-            else
-                ::unsetenv(name);
-        }
-    }
-
-    static void
-    set(const char *name, const std::string &value)
-    {
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    static void unset(const char *name) { ::unsetenv(name); }
-
-  private:
-    static constexpr const char *kVars[] = {
-        "FVC_RESULT_DIR",      "FVC_RESULT_CACHE",
-        "FVC_RESULT_CACHE_MB", "FVC_RESULT_EXPECT_WARM",
-        "FVC_TRACE_DIR",       "FVC_TRACE_STORE",
-        "FVC_WORKERS",         "FVC_GEN_SHARDS",
-        "FVC_JOBS"};
-    std::vector<std::pair<const char *, std::optional<std::string>>>
-        saved_;
-};
-
-/** A unique per-test scratch directory, removed on destruction. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        static int counter = 0;
-        path_ = fs::temp_directory_path() /
-                ("fvc-result-test-" + std::to_string(::getpid()) +
-                 "-" + std::to_string(counter++));
-        fs::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const fs::path &path() const { return path_; }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-
-  private:
-    fs::path path_;
-};
+using fvc::test::EnvGuard;
+using fvc::test::TempDir;
 
 /** A record whose every counter is a distinct function of @p salt,
  * so any mis-decoded field shows up as an inequality. */
@@ -742,6 +671,26 @@ TEST(ResultRepositoryTest, SizeCapAdmissionPrefersExpensiveCells)
     ASSERT_EQ(kept.value().records.size(), 1u);
     EXPECT_EQ(kept.value().records[0].fingerprint,
               fb::cellFingerprint(specs[1]));
+}
+
+TEST(ResultRepositoryTest, CacheMbOutOfRangeIsRejected)
+{
+    // 2^44 MB is 2^64 bytes: scaled unchecked it wraps to a 0-byte
+    // cap that admits nothing (and 2^44 + 1 to a 1 MiB cap).
+    EnvGuard env;
+    EXPECT_EQ(frc::resultCapBytes(), UINT64_MAX);
+    for (const char *bad : {"17592186044416", "17592186044417",
+                            "18446744073709551616"}) {
+        EnvGuard::set("FVC_RESULT_CACHE_MB", bad);
+        const uint64_t warns = fu::warnCount();
+        EXPECT_EQ(frc::resultCapBytes(), UINT64_MAX) << bad;
+        EXPECT_EQ(fu::warnCount(), warns + 1) << bad;
+    }
+    // The largest accepted cap still fits in bytes.
+    EnvGuard::set("FVC_RESULT_CACHE_MB", "17592186044415");
+    EXPECT_EQ(frc::resultCapBytes(), 17592186044415ull << 20);
+    EnvGuard::set("FVC_RESULT_CACHE_MB", "1");
+    EXPECT_EQ(frc::resultCapBytes(), 1ull << 20);
 }
 
 TEST(ResultRepositoryTest, CostModelRanksWorkSensibly)

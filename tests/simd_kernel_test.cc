@@ -27,38 +27,12 @@
 #include "util/random.hh"
 #include "workload/profile.hh"
 
+#include "env_guard.hh"
+
 namespace {
 
 using namespace fvc;
-
-/** An env var value restored on scope exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_old_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_old_ = false;
-};
+using test::ScopedEnv;
 
 struct GridCell
 {
@@ -464,11 +438,15 @@ TEST(SimdKernel, MissQueueOverflowBoundary)
 // "1" enables, unset/empty/"0" disable, garbage warns and disables.
 TEST(SimdKernel, KernelStatsEnvStrictParse)
 {
-    EXPECT_FALSE(sim::laneKernelStatsEnvEnabled(nullptr));
-    EXPECT_FALSE(sim::laneKernelStatsEnvEnabled(""));
-    EXPECT_FALSE(sim::laneKernelStatsEnvEnabled("0"));
-    EXPECT_TRUE(sim::laneKernelStatsEnvEnabled("1"));
-    EXPECT_FALSE(sim::laneKernelStatsEnvEnabled("yes"));
+    auto enabled = [](const char *value) {
+        ScopedEnv env("FVC_KERNEL_STATS", value);
+        return sim::laneKernelStatsEnvEnabled();
+    };
+    EXPECT_FALSE(enabled(nullptr));
+    EXPECT_FALSE(enabled(""));
+    EXPECT_FALSE(enabled("0"));
+    EXPECT_TRUE(enabled("1"));
+    EXPECT_FALSE(enabled("yes"));
 }
 
 // Degenerate grid shapes: a single cell, a DMC-only grid (no shared

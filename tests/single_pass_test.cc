@@ -21,9 +21,12 @@
 #include "util/strings.hh"
 #include "workload/profile.hh"
 
+#include "env_guard.hh"
+
 namespace {
 
 using namespace fvc;
+using test::ScopedEnv;
 
 void
 expectStatsEqual(const cache::CacheStats &want,
@@ -39,35 +42,6 @@ expectStatsEqual(const cache::CacheStats &want,
     EXPECT_EQ(want.fetch_bytes, got.fetch_bytes) << what;
     EXPECT_EQ(want.writeback_bytes, got.writeback_bytes) << what;
 }
-
-/** An env var value restored on scope exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_old_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_old_ = false;
-};
 
 // Bare-DMC lanes keep tags only, yet must reproduce every
 // CacheStats counter of the full data-carrying DmcSystem across

@@ -27,6 +27,8 @@
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
+#include "env_guard.hh"
+
 namespace fc = fvc::cache;
 namespace fco = fvc::core;
 namespace fh = fvc::harness;
@@ -37,80 +39,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Saves and clears the store-related environment, restoring it on
- * destruction so these tests cannot leak state into the rest of the
- * suite (all tests share one process). */
-class EnvGuard
-{
-  public:
-    EnvGuard()
-    {
-        for (const char *name : kVars) {
-            const char *value = std::getenv(name);
-            saved_.emplace_back(
-                name, value ? std::optional<std::string>(value)
-                            : std::nullopt);
-            ::unsetenv(name);
-        }
-    }
-
-    ~EnvGuard()
-    {
-        for (const auto &[name, value] : saved_) {
-            if (value)
-                ::setenv(name, value->c_str(), 1);
-            else
-                ::unsetenv(name);
-        }
-    }
-
-    static void
-    set(const char *name, const std::string &value)
-    {
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    static void unset(const char *name) { ::unsetenv(name); }
-
-  private:
-    static constexpr const char *kVars[] = {
-        "FVC_TRACE_DIR",      "FVC_TRACE_STORE",
-        "FVC_TRACE_CACHE_MB", "FVC_GEN_SHARDS",
-        "FVC_TRACE_EXPECT_WARM"};
-    std::vector<std::pair<const char *, std::optional<std::string>>>
-        saved_;
-};
-
-/** A unique per-test scratch directory, removed on destruction. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        static int counter = 0;
-        path_ = fs::temp_directory_path() /
-                ("fvc-store-test-" + std::to_string(::getpid()) +
-                 "-" + std::to_string(counter++));
-        fs::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const fs::path &path() const { return path_; }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-
-  private:
-    fs::path path_;
-};
+using fvc::test::EnvGuard;
+using fvc::test::TempDir;
 
 fh::TraceKey
 makeKey(const fw::BenchmarkProfile &profile, uint64_t accesses,

@@ -16,7 +16,10 @@
 #include "util/strings.hh"
 #include "util/table.hh"
 
+#include "env_guard.hh"
+
 namespace fu = fvc::util;
+using fvc::test::EnvGuard;
 
 TEST(BitopsTest, PowerOfTwo)
 {
@@ -307,17 +310,16 @@ TEST(TableTest, CsvExportRespectsEnvironment)
 {
     fu::Table t({"a"});
     t.addRow({"1"});
-    unsetenv("FVC_CSV_DIR");
+    EnvGuard env;
     EXPECT_FALSE(t.exportCsv("util_test_export"));
     std::string dir = ::testing::TempDir();
-    setenv("FVC_CSV_DIR", dir.c_str(), 1);
+    EnvGuard::set("FVC_CSV_DIR", dir);
     EXPECT_TRUE(t.exportCsv("util_test_export"));
     std::string path = dir + "/util_test_export.csv";
     std::ifstream in(path);
     std::string header;
     std::getline(in, header);
     EXPECT_EQ(header, "a");
-    unsetenv("FVC_CSV_DIR");
     std::remove(path.c_str());
 }
 

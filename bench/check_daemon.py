@@ -74,19 +74,26 @@ def compare_runs(reference, candidate):
     return errors
 
 
-def base_env(accesses):
-    """Environment shared by every run: all FVC knobs scrubbed."""
-    env = dict(os.environ)
-    for key in ("FVC_WORKERS", "FVC_FABRIC_DIR", "FVC_FAULT_SPEC",
-                "FVC_STRICT", "FVC_CSV_DIR", "FVC_JOBS",
-                "FVC_TRACE_DIR", "FVC_TRACE_STORE",
-                "FVC_TRACE_EXPECT_WARM", "FVC_RESULT_DIR",
-                "FVC_RESULT_CACHE", "FVC_RESULT_CACHE_MB",
-                "FVC_RESULT_EXPECT_WARM", "FVC_DAEMON",
-                "FVC_DAEMON_SOCK", "FVC_DAEMON_RETRIES",
-                "FVC_DAEMON_TIMEOUT_MS", "FVC_DAEMON_BATCH_MS"):
-        env.pop(key, None)
+def base_env(accesses, base=os.environ):
+    """Environment shared by every run: `base` minus every FVC_*
+    knob, so nothing inherited (a socket, a result store, a fault
+    spec) reaches the daemon or its clients."""
+    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
     env["FVC_TRACE_ACCESSES"] = str(accesses)
+    return env
+
+
+def client_env(accesses, daemon_sock, base=os.environ):
+    """Environment of one fig13 run. `daemon_sock` of None runs
+    in-process (FVC_DAEMON=off); otherwise the run must be served
+    by the daemon on that socket (FVC_DAEMON=on: fallback is fatal,
+    not silent)."""
+    env = base_env(accesses, base)
+    if daemon_sock is None:
+        env["FVC_DAEMON"] = "off"
+    else:
+        env["FVC_DAEMON"] = "on"
+        env["FVC_DAEMON_SOCK"] = daemon_sock
     return env
 
 
@@ -152,18 +159,9 @@ class Daemon:
 
 
 def run_fig13(binary, label, accesses, daemon_sock):
-    """Run one fig13 sweep; return its gathered output bundle.
-
-    `daemon_sock` of None runs in-process (FVC_DAEMON=off);
-    otherwise the run must be served by the daemon on that socket
-    (FVC_DAEMON=on: fallback is fatal, not silent).
-    """
-    env = base_env(accesses)
-    if daemon_sock is None:
-        env["FVC_DAEMON"] = "off"
-    else:
-        env["FVC_DAEMON"] = "on"
-        env["FVC_DAEMON_SOCK"] = daemon_sock
+    """Run one fig13 sweep (see client_env); return its gathered
+    output bundle."""
+    env = client_env(accesses, daemon_sock)
     with tempfile.TemporaryDirectory(prefix="fvc-dmn-") as csv_dir:
         env["FVC_CSV_DIR"] = csv_dir
         proc = subprocess.run(
@@ -181,9 +179,7 @@ def run_fig13_concurrently(binary, label, accesses, daemon_sock,
     """Launch N fig13 clients at once; gather each one's bundle."""
     procs = []
     for i in range(clients):
-        env = base_env(accesses)
-        env["FVC_DAEMON"] = "on"
-        env["FVC_DAEMON_SOCK"] = daemon_sock
+        env = client_env(accesses, daemon_sock)
         csv_dir = tempfile.mkdtemp(prefix=f"fvc-dmn-c{i}-")
         env["FVC_CSV_DIR"] = csv_dir
         procs.append((csv_dir, subprocess.Popen(
@@ -233,6 +229,23 @@ def self_test():
     assert any("a.csv differs" in e for e in errors), errors
     assert any("missing CSV b.csv" in e for e in errors), errors
     assert any("extra CSV c.csv" in e for e in errors), errors
+
+    # 4. Run environments are hermetic: injected FVC_* knobs are
+    #    dropped, the pinned ones set, everything else kept.
+    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+                "FVC_FAULT_SPEC": "sweep_job=0",
+                "FVC_DAEMON_SOCK": "/elsewhere.sock", "PATH": "/bin"}
+    local = client_env(20000, None, injected)
+    assert local["FVC_DAEMON"] == "off", local
+    assert "FVC_DAEMON_SOCK" not in local, local
+    served = client_env(20000, "/gate.sock", injected)
+    assert served["FVC_DAEMON"] == "on", served
+    assert served["FVC_DAEMON_SOCK"] == "/gate.sock", served
+    for env in (local, served, base_env(0, injected)):
+        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_FAULT_SPEC" not in env, env
+        assert env["PATH"] == "/bin", env
+    assert "FVC_DAEMON" not in base_env(0, injected)
 
     print("check_daemon.py self-test: all checks passed")
     return 0

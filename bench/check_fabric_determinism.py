@@ -67,6 +67,22 @@ def compare_runs(reference, candidate):
     return errors
 
 
+def bench_env(base, accesses, workers, csv_dir):
+    """The environment of one fig13 run: `base` minus every FVC_*
+    knob, plus only the knobs this gate pins. No inherited knob (a
+    result store, a fault spec, a generation shard count) reaches
+    the run, and FVC_DAEMON=off keeps a running fvc_sweepd from
+    serving it: the cells must come from this process or its
+    forked workers."""
+    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
+    env["FVC_TRACE_ACCESSES"] = str(accesses)
+    env["FVC_DAEMON"] = "off"
+    env["FVC_CSV_DIR"] = csv_dir
+    if workers is not None:
+        env["FVC_WORKERS"] = str(workers)
+    return env
+
+
 def run_fig13(binary, workers, accesses):
     """Run the Figure 13 sweep; return its gathered output bundle.
 
@@ -77,15 +93,8 @@ def run_fig13(binary, workers, accesses):
     spills.
     """
     label = "serial" if workers is None else f"workers={workers}"
-    env = dict(os.environ)
-    for key in ("FVC_WORKERS", "FVC_FABRIC_DIR", "FVC_FAULT_SPEC",
-                "FVC_STRICT", "FVC_CSV_DIR"):
-        env.pop(key, None)
-    env["FVC_TRACE_ACCESSES"] = str(accesses)
-    if workers is not None:
-        env["FVC_WORKERS"] = str(workers)
     with tempfile.TemporaryDirectory(prefix="fvc-det-") as csv_dir:
-        env["FVC_CSV_DIR"] = csv_dir
+        env = bench_env(os.environ, accesses, workers, csv_dir)
         proc = subprocess.run(
             [binary], env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, timeout=300, check=False)
@@ -132,6 +141,21 @@ def self_test():
             f.write(b"ignored")
         bundle = gather_run("t", b"out", d)
         assert bundle["csvs"] == {"x.csv": b"x\n"}, bundle
+
+    # 6. The bench environment is hermetic: injected FVC_* knobs
+    #    are dropped, the pinned ones set, everything else kept.
+    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+                "FVC_FAULT_SPEC": "sweep_job=0", "PATH": "/bin"}
+    for workers in (None, 2):
+        env = bench_env(injected, 20000, workers, "/csv")
+        assert env["FVC_DAEMON"] == "off", env
+        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_FAULT_SPEC" not in env, env
+        assert env["FVC_TRACE_ACCESSES"] == "20000", env
+        assert env["FVC_CSV_DIR"] == "/csv", env
+        assert env["PATH"] == "/bin", env
+        assert env.get("FVC_WORKERS") == (
+            None if workers is None else "2"), env
 
     print("check_fabric_determinism.py self-test: "
           "all checks passed")

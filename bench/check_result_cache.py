@@ -84,6 +84,22 @@ def check_speedup(cold_seconds, warm_seconds, min_speedup):
     return None
 
 
+def bench_env(base, accesses, result_dir, expect_warm, csv_dir):
+    """The environment of one fig13 run: `base` minus every FVC_*
+    knob, plus only the knobs this gate pins. FVC_DAEMON=off keeps
+    a running fvc_sweepd from serving the run, so the warm checks
+    test this gate's own store, not the daemon's."""
+    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
+    env["FVC_TRACE_ACCESSES"] = str(accesses)
+    env["FVC_DAEMON"] = "off"
+    env["FVC_RESULT_DIR"] = result_dir
+    env["FVC_RESULT_CACHE"] = "on"
+    env["FVC_CSV_DIR"] = csv_dir
+    if expect_warm:
+        env["FVC_RESULT_EXPECT_WARM"] = "1"
+    return env
+
+
 def run_fig13(binary, label, result_dir, accesses, expect_warm):
     """Run the Figure 13 sweep; return (bundle, wall_seconds).
 
@@ -92,21 +108,9 @@ def run_fig13(binary, label, result_dir, accesses, expect_warm):
     run's published records. FVC_RESULT_EXPECT_WARM=1 makes any
     store miss fatal inside the binary.
     """
-    env = dict(os.environ)
-    for key in ("FVC_WORKERS", "FVC_FABRIC_DIR", "FVC_FAULT_SPEC",
-                "FVC_STRICT", "FVC_CSV_DIR", "FVC_JOBS",
-                "FVC_TRACE_DIR", "FVC_TRACE_STORE",
-                "FVC_TRACE_EXPECT_WARM", "FVC_RESULT_DIR",
-                "FVC_RESULT_CACHE", "FVC_RESULT_CACHE_MB",
-                "FVC_RESULT_EXPECT_WARM"):
-        env.pop(key, None)
-    env["FVC_TRACE_ACCESSES"] = str(accesses)
-    env["FVC_RESULT_DIR"] = result_dir
-    env["FVC_RESULT_CACHE"] = "on"
-    if expect_warm:
-        env["FVC_RESULT_EXPECT_WARM"] = "1"
     with tempfile.TemporaryDirectory(prefix="fvc-rc-") as csv_dir:
-        env["FVC_CSV_DIR"] = csv_dir
+        env = bench_env(os.environ, accesses, result_dir,
+                        expect_warm, csv_dir)
         start = time.monotonic()
         proc = subprocess.run(
             [binary], env=env, stdout=subprocess.PIPE,
@@ -142,6 +146,22 @@ def self_test():
     assert check_speedup(100.0, 1.0, 20.0) is None
     err = check_speedup(100.0, 10.0, 20.0)
     assert err is not None and "10.0x" in err, err
+
+    # 4. The bench environment is hermetic: injected FVC_* knobs
+    #    are dropped, the pinned ones set, everything else kept.
+    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+                "FVC_FAULT_SPEC": "sweep_job=0",
+                "FVC_RESULT_DIR": "/elsewhere", "PATH": "/bin"}
+    for expect_warm in (False, True):
+        env = bench_env(injected, 20000, "/store", expect_warm,
+                        "/csv")
+        assert env["FVC_DAEMON"] == "off", env
+        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_FAULT_SPEC" not in env, env
+        assert env["FVC_RESULT_DIR"] == "/store", env
+        assert env["FVC_RESULT_CACHE"] == "on", env
+        assert env["PATH"] == "/bin", env
+        assert ("FVC_RESULT_EXPECT_WARM" in env) == expect_warm, env
 
     print("check_result_cache.py self-test: all checks passed")
     return 0

@@ -66,6 +66,26 @@ def compare_runs(reference, candidate):
     return errors
 
 
+def bench_env(base, accesses, jobs, mode, result_dir, expect_warm,
+              csv_dir):
+    """The environment of one fig13 run: `base` minus every FVC_*
+    knob, plus only the knobs this gate pins. FVC_DAEMON=off keeps
+    a running fvc_sweepd from serving the run, so every stage tests
+    this gate's own store and FVC_JOBS, not the daemon's."""
+    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
+    env["FVC_TRACE_ACCESSES"] = str(accesses)
+    env["FVC_DAEMON"] = "off"
+    env["FVC_CSV_DIR"] = csv_dir
+    if jobs is not None:
+        env["FVC_JOBS"] = str(jobs)
+    if mode is not None:
+        env["FVC_RESULT_DIR"] = result_dir
+        env["FVC_RESULT_CACHE"] = mode
+    if expect_warm:
+        env["FVC_RESULT_EXPECT_WARM"] = "1"
+    return env
+
+
 def run_fig13(binary, label, accesses, jobs, mode, result_dir,
               expect_warm=False):
     """Run the Figure 13 sweep; return its gathered output bundle.
@@ -74,24 +94,9 @@ def run_fig13(binary, label, accesses, jobs, mode, result_dir,
     otherwise it is the FVC_RESULT_CACHE value and `result_dir`
     holds the store.
     """
-    env = dict(os.environ)
-    for key in ("FVC_WORKERS", "FVC_FABRIC_DIR", "FVC_FAULT_SPEC",
-                "FVC_STRICT", "FVC_CSV_DIR", "FVC_JOBS",
-                "FVC_TRACE_DIR", "FVC_TRACE_STORE",
-                "FVC_TRACE_EXPECT_WARM", "FVC_RESULT_DIR",
-                "FVC_RESULT_CACHE", "FVC_RESULT_CACHE_MB",
-                "FVC_RESULT_EXPECT_WARM"):
-        env.pop(key, None)
-    env["FVC_TRACE_ACCESSES"] = str(accesses)
-    if jobs is not None:
-        env["FVC_JOBS"] = str(jobs)
-    if mode is not None:
-        env["FVC_RESULT_DIR"] = result_dir
-        env["FVC_RESULT_CACHE"] = mode
-    if expect_warm:
-        env["FVC_RESULT_EXPECT_WARM"] = "1"
     with tempfile.TemporaryDirectory(prefix="fvc-rcd-") as csv_dir:
-        env["FVC_CSV_DIR"] = csv_dir
+        env = bench_env(os.environ, accesses, jobs, mode,
+                        result_dir, expect_warm, csv_dir)
         proc = subprocess.run(
             [binary], env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, timeout=300, check=False)
@@ -125,6 +130,25 @@ def self_test():
     assert any("a.csv differs" in e for e in errors), errors
     assert any("missing CSV b.csv" in e for e in errors), errors
     assert any("extra CSV c.csv" in e for e in errors), errors
+
+    # 4. The bench environment is hermetic: injected FVC_* knobs
+    #    are dropped, the pinned ones set, everything else kept.
+    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+                "FVC_FAULT_SPEC": "sweep_job=0",
+                "FVC_RESULT_DIR": "/elsewhere", "PATH": "/bin"}
+    off = bench_env(injected, 20000, None, None, None, False, "/csv")
+    assert "FVC_RESULT_DIR" not in off and "FVC_JOBS" not in off, off
+    warm = bench_env(injected, 20000, 8, "readonly", "/store", True,
+                     "/csv")
+    assert warm["FVC_RESULT_DIR"] == "/store", warm
+    assert warm["FVC_RESULT_CACHE"] == "readonly", warm
+    assert warm["FVC_JOBS"] == "8", warm
+    assert warm["FVC_RESULT_EXPECT_WARM"] == "1", warm
+    for env in (off, warm):
+        assert env["FVC_DAEMON"] == "off", env
+        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_FAULT_SPEC" not in env, env
+        assert env["PATH"] == "/bin", env
 
     print("check_result_cache_determinism.py self-test: "
           "all checks passed")

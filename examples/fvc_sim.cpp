@@ -27,10 +27,9 @@
 #include <string>
 
 #include "cache/victim_cache.hh"
-#include "trace/trace_file.hh"
 #include "core/dmc_fvc_system.hh"
 #include "harness/runner.hh"
-#include "profiling/value_table.hh"
+#include "harness/trace_repo.hh"
 #include "timing/access_time.hh"
 #include "timing/energy.hh"
 #include "util/bitops.hh"
@@ -61,7 +60,7 @@ usage()
     std::printf(
         "fvc_sim — frequent value cache simulator\n"
         "  --workload NAME   built-in profile (default 126.gcc)\n"
-        "  --trace FILE      binary trace file input\n"
+        "  --trace FILE      trace store file (.fvcs) input\n"
         "  --accesses N      trace length (default 1000000)\n"
         "  --seed N          generator seed (default 1)\n"
         "  --dmc-kb N        main cache Kb (default 16)\n"
@@ -133,29 +132,16 @@ profileByName(const std::string &name)
     std::exit(1);
 }
 
+/** Load a trace store file, or print why it is unusable and exit. */
 harness::PreparedTrace
-loadTraceFile(const std::string &path)
+loadStoreFile(const std::string &path)
 {
-    // Trace files carry no initial image; treat the file's records
-    // as the whole program (loads of untouched words read 0).
-    harness::PreparedTrace out;
-    trace::TraceReader reader(path);
-    out.name = reader.header().workload[0]
-        ? reader.header().workload
-        : path;
-    profiling::ValueCounterTable accessed;
-    trace::MemRecord rec;
-    while (reader.next(rec)) {
-        out.columns.append(rec);
-        if (rec.isAccess())
-            accessed.add(rec.value);
-        if (rec.isStore())
-            out.final_image.write(rec.addr, rec.value);
+    auto loaded = harness::loadTraceFile(path);
+    if (!loaded) {
+        std::fprintf(stderr, "%s\n", loaded.error().describe().c_str());
+        std::exit(1);
     }
-    out.instructions = reader.header().instruction_count;
-    for (const auto &vc : accessed.topK(10))
-        out.frequent_values.push_back(vc.value);
-    return out;
+    return std::move(loaded.value());
 }
 
 } // namespace
@@ -172,7 +158,7 @@ main(int argc, char **argv)
     harness::PreparedTrace trace = opt.trace_file.empty()
         ? harness::prepareTrace(profileByName(opt.workload),
                                 opt.accesses, opt.seed)
-        : loadTraceFile(opt.trace_file);
+        : loadStoreFile(opt.trace_file);
 
     std::printf("workload: %s (%zu records)\n", trace.name.c_str(),
                 trace.columns.size());

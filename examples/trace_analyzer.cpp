@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace-file tooling example: generate a workload trace, persist
- * it to the binary trace format, then re-read it from disk and
- * analyze it — demonstrating the trace IO API and the online
+ * it as a trace store file (.fvcs), then map it back from disk and
+ * analyze it — demonstrating the trace store API and the online
  * (Space-Saving) frequent-value sketch one would use on traces too
  * large to profile exactly.
  */
@@ -11,13 +11,14 @@
 #include <cstdlib>
 #include <string>
 
+#include "harness/runner.hh"
+#include "harness/trace_repo.hh"
 #include "profiling/value_table.hh"
-#include "trace/filters.hh"
-#include "trace/trace_file.hh"
 #include "trace/trace_stats.hh"
+#include "trace/trace_store.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
-#include "workload/generator.hh"
+#include "workload/fingerprint.hh"
 
 int
 main(int argc, char **argv)
@@ -25,48 +26,54 @@ main(int argc, char **argv)
     using namespace fvc;
 
     uint64_t accesses = 200000;
-    std::string path = "/tmp/fvc_example_trace.fvct";
+    std::string path = "/tmp/fvc_example_trace.fvcs";
     if (argc > 1)
         accesses = std::strtoull(argv[1], nullptr, 10);
     if (argc > 2)
         path = argv[2];
 
-    // 1. Generate a 130.li trace and write it to disk.
+    // 1. Generate a 130.li trace (one serial stream) and write it
+    //    to disk.
     auto profile = workload::specIntProfile(workload::SpecInt::Li130);
+    harness::TraceKey key{profile.name,
+                          workload::profileFingerprint(profile),
+                          accesses, 99, 10, 1};
     {
-        workload::SyntheticWorkload gen(profile, accesses, 99);
-        trace::TraceWriter writer(path, profile.name, 99);
-        trace::MemRecord rec;
-        while (gen.next(rec))
-            writer.append(rec);
-        writer.close();
+        auto trace = harness::prepareTraceSharded(
+            profile, key.accesses, key.seed, key.top_k, 1);
+        if (auto err = harness::saveTraceFile(path, trace, key)) {
+            std::fprintf(stderr, "%s\n", err->describe().c_str());
+            return 1;
+        }
         std::printf("wrote %s (%s records)\n", path.c_str(),
-                    util::withCommas(writer.recordCount()).c_str());
+                    util::withCommas(trace.columns.size()).c_str());
     }
 
-    // 2. Stream it back and analyze.
-    trace::TraceReader reader(path);
+    // 2. Map it back and analyze.
+    auto loaded = harness::loadTraceFile(path);
+    if (!loaded) {
+        std::fprintf(stderr, "%s\n", loaded.error().describe().c_str());
+        return 1;
+    }
+    const harness::PreparedTrace &stored = loaded.value();
+    const trace::StoreHeader &header = stored.mapping->header();
     std::printf("header: workload=%s seed=%llu records=%s "
                 "instructions=%s\n\n",
-                reader.header().workload,
-                static_cast<unsigned long long>(
-                    reader.header().seed),
-                util::withCommas(reader.header().record_count)
-                    .c_str(),
-                util::withCommas(reader.header().instruction_count)
-                    .c_str());
+                header.name,
+                static_cast<unsigned long long>(header.seed),
+                util::withCommas(header.record_count).c_str(),
+                util::withCommas(header.instruction_count).c_str());
 
     trace::TraceStats stats;
     profiling::ValueCounterTable exact;
     profiling::SpaceSavingSketch sketch(64);
-    trace::MemRecord rec;
-    while (reader.next(rec)) {
+    stored.columns.forEachRecord([&](const trace::MemRecord &rec) {
         stats.observe(rec);
         if (rec.isAccess()) {
             exact.add(rec.value);
             sketch.add(rec.value);
         }
-    }
+    });
 
     util::Table summary({"metric", "value"});
     summary.alignRight(1);

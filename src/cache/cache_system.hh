@@ -58,14 +58,6 @@ class CacheSystem
 
     /** The backing memory image (post-flush ground truth). */
     virtual memmodel::FunctionalMemory &memoryImage() = 0;
-
-    /** Convenience: run a whole record. */
-    void
-    consume(const trace::MemRecord &rec)
-    {
-        if (rec.isAccess())
-            access(rec);
-    }
 };
 
 /** A bare DMC (or set-associative cache) with no helper structure. */

@@ -22,7 +22,7 @@
 namespace fvc::cache {
 
 /** The combined L1 + L2 organization. */
-class TwoLevelSystem : public CacheSystem
+class TwoLevelSystem final : public CacheSystem
 {
   public:
     /**

@@ -41,7 +41,7 @@ struct AdaptiveStats
 };
 
 /** The self-training DMC + FVC organization. */
-class AdaptiveDmcFvcSystem : public cache::CacheSystem
+class AdaptiveDmcFvcSystem final : public cache::CacheSystem
 {
   public:
     AdaptiveDmcFvcSystem(const cache::CacheConfig &dmc_config,

@@ -81,7 +81,7 @@ struct CompressionStats
  * A set-associative write-back cache storing lines compressed when
  * the frequent-value encoding allows it.
  */
-class CompressedDataCache : public cache::CacheSystem
+class CompressedDataCache final : public cache::CacheSystem
 {
   public:
     CompressedDataCache(const CompressedCacheConfig &config,

@@ -119,14 +119,11 @@ simulateCell(const CellSpec &cell)
     if (cell.victim_entries) {
         cache::DmcVictimSystem system(cell.dmc,
                                       cell.victim_entries);
-        harness::replayFast(*trace, system);
+        harness::replay(*trace, system);
         stats.cache = system.stats();
         return stats;
     }
     if (cell.has_l2) {
-        // TwoLevelSystem is not final, so the devirtualized
-        // replayFast is off-limits; the virtual replay produces
-        // identical counters.
         cache::TwoLevelSystem system(cell.dmc, cell.l2);
         harness::replay(*trace, system);
         stats.cache = system.stats();
@@ -134,7 +131,7 @@ simulateCell(const CellSpec &cell)
     }
     if (!cell.has_fvc) {
         cache::DmcSystem system(cell.dmc);
-        harness::replayFast(*trace, system);
+        harness::replay(*trace, system);
         stats.cache = system.stats();
         return stats;
     }
@@ -142,7 +139,7 @@ simulateCell(const CellSpec &cell)
                                          cell.fvc.code_bits);
     core::DmcFvcSystem system(cell.dmc, cell.fvc,
                               std::move(encoding), cell.policy);
-    harness::replayFast(*trace, system);
+    harness::replay(*trace, system);
     stats.cache = system.stats();
     stats.fvc = system.fvcStats();
     return stats;

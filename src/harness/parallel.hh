@@ -10,16 +10,16 @@
  * embarrassingly. Thread-safety contract (see DESIGN.md "Performance
  * & parallel execution"): a PreparedTrace is immutable after
  * construction, each job builds its own CacheSystem, and results are
- * merged on the thread that calls SweepRunner::run().
+ * merged on the thread that calls SweepRunner::runChecked().
  *
  * Failure handling (DESIGN.md "Failure handling & integrity
  * contract"): one throwing job must not cost the whole figure.
  * runChecked() runs each job once, captures every job's failure and
- * returns partial results; run() keeps the throwing interface but
- * reports *all* failures, indexed, in one SweepError. A thread
- * cannot be killed, so this backend has no retry or time budget:
- * re-queueing a crashed or wedged cell is the process fabric's job
- * (fabric/fabric.hh, FVC_RETRIES and FVC_JOB_TIMEOUT_MS).
+ * returns partial results, which benches render through
+ * runDegraded() (harness/report.hh). A thread cannot be killed, so
+ * this backend has no retry or time budget: re-queueing a crashed
+ * or wedged cell is the process fabric's job (fabric/fabric.hh,
+ * FVC_RETRIES and FVC_JOB_TIMEOUT_MS).
  */
 
 #ifndef FVC_HARNESS_PARALLEL_HH_
@@ -125,29 +125,6 @@ struct SweepOutcome
     bool ok() const { return failures.empty(); }
 };
 
-/**
- * Thrown by SweepRunner::run() after all jobs finished when at
- * least one failed; what() carries the indexed summary of every
- * failure, not just the first.
- */
-class SweepError : public std::runtime_error
-{
-  public:
-    SweepError(const std::string &what,
-               std::vector<JobFailure> failures)
-        : std::runtime_error(what), failures_(std::move(failures))
-    {
-    }
-
-    const std::vector<JobFailure> &failures() const
-    {
-        return failures_;
-    }
-
-  private:
-    std::vector<JobFailure> failures_;
-};
-
 namespace detail {
 
 /** Process-wide submission counter for FVC_FAULT_SPEC sweep_job. */
@@ -186,7 +163,8 @@ runJob(const std::function<R()> &job, size_t index,
  *   SweepRunner<Row> sweep;
  *   for (const auto &config : grid)
  *       sweep.submit([&, config] { return simulate(config); });
- *   for (const Row &row : sweep.run())
+ *   // One std::optional<Row> per job, nullopt where it failed.
+ *   for (const auto &row : runDegraded(sweep, "grid"))
  *       print(row);
  * @endcode
  */
@@ -271,32 +249,6 @@ class SweepRunner
                 outcome.failures.push_back(std::move(*failure));
         }
         return outcome;
-    }
-
-    /**
-     * Execute every submitted job and return the results in
-     * submission order. If any jobs failed, throws
-     * one SweepError summarizing *all* of them — by index — once
-     * every job has finished.
-     */
-    std::vector<R>
-    run()
-    {
-        size_t total = jobs_.size();
-        SweepOutcome<R> outcome = runChecked();
-        if (!outcome.failures.empty()) {
-            // Summarize before handing the vector over: constructor
-            // arguments are unsequenced, so moving it in the same
-            // call could empty it first.
-            std::string summary =
-                summarizeFailures(outcome.failures, total);
-            throw SweepError(summary, std::move(outcome.failures));
-        }
-        std::vector<R> results;
-        results.reserve(outcome.results.size());
-        for (auto &slot : outcome.results)
-            results.push_back(std::move(*slot));
-        return results;
     }
 
   private:

@@ -46,8 +46,7 @@ failedCell()
 /**
  * Run a sweep in degrade mode: failed jobs come back as nullopt
  * and are summarized via reportSweepFailures() (fatal in strict
- * mode); completed cells render normally. With no failures the
- * output path is byte-identical to run().
+ * mode); completed cells render normally.
  */
 template <typename R>
 std::vector<std::optional<R>>

@@ -161,21 +161,12 @@ installInitialImage(const PreparedTrace &trace,
         });
 }
 
-void
-replay(const PreparedTrace &trace, cache::CacheSystem &system)
-{
-    installInitialImage(trace, system.memoryImage());
-    trace.columns.forEachRecord([&system](
-        const trace::MemRecord &rec) { system.consume(rec); });
-    system.flush();
-}
-
 double
 dmcMissRate(const PreparedTrace &trace,
             const cache::CacheConfig &config)
 {
     cache::DmcSystem system(config);
-    replayFast(trace, system);
+    replay(trace, system);
     return system.stats().missRatePercent();
 }
 
@@ -188,7 +179,7 @@ runDmcFvc(const PreparedTrace &trace,
                                          fvc_config.code_bits);
     auto system = std::make_unique<core::DmcFvcSystem>(
         dmc_config, fvc_config, std::move(encoding));
-    replayFast(trace, *system);
+    replay(trace, *system);
     return system;
 }
 

@@ -98,24 +98,18 @@ uint32_t genShards();
 void installInitialImage(const PreparedTrace &trace,
                          memmodel::FunctionalMemory &image);
 
-/** Replay a prepared trace through a cache system (with flush). */
-void replay(const PreparedTrace &trace, cache::CacheSystem &system);
-
 /**
- * Replay through a *concrete* system type, bypassing virtual
- * dispatch in the per-record loop. @p System must be the
- * most-derived type of @p system (all concrete systems in this
- * library are final, which enforces that): the access/flush calls
- * are explicitly qualified, so an override in a further-derived
- * class would be skipped.
+ * Replay a prepared trace through a cache system (with flush). The
+ * per-record loop calls @p System's access/flush explicitly
+ * qualified, bypassing virtual dispatch; @p System must be final,
+ * so no further-derived override can be skipped.
  */
 template <typename System>
 void
-replayFast(const PreparedTrace &trace, System &system)
+replay(const PreparedTrace &trace, System &system)
 {
-    static_assert(std::is_base_of_v<cache::CacheSystem, System> &&
-                      !std::is_same_v<cache::CacheSystem, System>,
-                  "replayFast needs a concrete CacheSystem type");
+    static_assert(std::is_final_v<System>,
+                  "replay needs a final CacheSystem type");
     installInitialImage(trace, system.System::memoryImage());
     // Column replay: works identically over owned and mmap-view
     // chunks, so a store-loaded trace replays with zero copies.

@@ -369,7 +369,7 @@ DiffRunner::runMmapWarm(const harness::PreparedTrace &trace,
         loaded.value().frequent_values, cell.fvc.code_bits);
     core::DmcFvcSystem system(cell.dmc, cell.fvc,
                               std::move(encoding), cell.policy);
-    harness::replayFast(loaded.value(), system);
+    harness::replay(loaded.value(), system);
 
     std::remove(path.c_str());
 

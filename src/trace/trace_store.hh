@@ -1,17 +1,15 @@
 /**
  * @file
- * Persistent trace store, format v3: a columnar on-disk layout that
- * can be mmap()ed and replayed zero-copy.
+ * Persistent trace store, format v3: the one on-disk trace format,
+ * a columnar layout that can be mmap()ed and replayed zero-copy.
  *
- * Formats v1/v2 (trace_file.hh) serialize packed little-endian
- * records, so loading costs a decode pass and an allocation per
- * record batch. v3 instead stores the trace exactly the way the
- * single-pass engine consumes it — sim::ChunkedTrace's
- * structure-of-arrays chunks, one icount/addr/value/op column block
- * per chunk — plus everything else a PreparedTrace carries: the
- * profiled frequent values and the serialized initial/final
- * FunctionalMemory images. A warm open maps the file read-only and
- * points span-backed columns straight into the mapping.
+ * A store file holds the trace exactly the way the single-pass
+ * engine consumes it — sim::ChunkedTrace's structure-of-arrays
+ * chunks, one icount/addr/value/op column block per chunk — plus
+ * everything else a PreparedTrace carries: the profiled frequent
+ * values and the serialized initial/final FunctionalMemory images.
+ * Loading needs no decode pass: a warm open maps the file read-only
+ * and points span-backed columns straight into the mapping.
  *
  * Layout (all offsets 8-byte aligned, host-endian — the reader is
  * the same machine architecture that wrote the file; a foreign or

@@ -53,7 +53,7 @@ struct Error
     /** What it happened to (a path, an env var name); may be empty. */
     std::string context;
 
-    /** "corrupt: chunk 3 CRC mismatch [trace.fvct]" */
+    /** "corrupt: chunk 3 CRC mismatch [trace.fvcs]" */
     std::string describe() const;
 };
 

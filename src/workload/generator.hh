@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "memmodel/functional_memory.hh"
-#include "trace/source.hh"
+#include "trace/record.hh"
 #include "workload/profile.hh"
 
 namespace fvc::workload {
@@ -43,11 +43,12 @@ struct GenShard
 };
 
 /**
- * A trace source that executes a BenchmarkProfile's kernels against
- * a functional memory, producing a load/store/alloc/free stream of
- * the requested length. Deterministic given (profile, seed, shard).
+ * A trace generator that executes a BenchmarkProfile's kernels
+ * against a functional memory, producing a load/store/alloc/free
+ * stream of the requested length. Deterministic given (profile,
+ * seed, shard).
  */
-class SyntheticWorkload : public trace::TraceSource
+class SyntheticWorkload
 {
   public:
     /**
@@ -60,9 +61,16 @@ class SyntheticWorkload : public trace::TraceSource
      */
     SyntheticWorkload(BenchmarkProfile profile, uint64_t accesses = 0,
                       uint64_t seed = 1, GenShard shard = {});
-    ~SyntheticWorkload() override;
+    ~SyntheticWorkload();
 
-    bool next(trace::MemRecord &out) override;
+    /**
+     * Produce the next record.
+     *
+     * @param out filled with the next record on success
+     * @retval true a record was produced
+     * @retval false the stream is exhausted
+     */
+    bool next(trace::MemRecord &out);
 
     /** Ground-truth memory image (valid at any point mid-stream). */
     const memmodel::FunctionalMemory &memory() const;

@@ -1,32 +1,17 @@
 /**
  * @file
- * Error-handling tests: invalid configurations and corrupt inputs
- * must fail fast with fatal diagnostics (gem5-style fatal() exits
- * with code 1; panic() aborts).
+ * Error-handling tests: invalid configurations must fail fast with
+ * fatal diagnostics (gem5-style fatal() exits with code 1; panic()
+ * aborts).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "cache/config.hh"
 #include "core/dmc_fvc_system.hh"
-#include "trace/trace_file.hh"
 
 namespace fc = fvc::cache;
 namespace co = fvc::core;
-namespace ft = fvc::trace;
-
-namespace {
-
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
-
-} // namespace
 
 TEST(ErrorHandlingDeathTest, NonPowerOfTwoCacheSize)
 {
@@ -64,26 +49,6 @@ TEST(ErrorHandlingDeathTest, BadFvcCodeWidth)
     cfg.code_bits = 9;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                 "code width");
-}
-
-TEST(ErrorHandlingDeathTest, MissingTraceFile)
-{
-    EXPECT_EXIT(ft::TraceReader reader("/nonexistent/nowhere.fvct"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(ErrorHandlingDeathTest, CorruptTraceMagic)
-{
-    std::string path = tempPath("corrupt.fvct");
-    {
-        std::ofstream out(path, std::ios::binary);
-        std::string garbage(256, 'x');
-        out.write(garbage.data(),
-                  static_cast<std::streamsize>(garbage.size()));
-    }
-    EXPECT_EXIT(ft::TraceReader reader(path),
-                ::testing::ExitedWithCode(1), "bad trace magic");
-    std::remove(path.c_str());
 }
 
 TEST(ErrorHandlingDeathTest, MismatchedFvcLineSize)

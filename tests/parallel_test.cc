@@ -42,6 +42,22 @@ namespace {
 using fvc::test::EnvGuard;
 using fvc::test::ScopedEnv;
 
+/** runChecked() for a sweep that must not fail: its results, in
+ * submission order. */
+template <typename R>
+std::vector<R>
+runAll(fh::SweepRunner<R> &sweep)
+{
+    const size_t total = sweep.pending();
+    auto outcome = sweep.runChecked();
+    EXPECT_TRUE(outcome.ok())
+        << fh::summarizeFailures(outcome.failures, total);
+    std::vector<R> results;
+    for (auto &slot : outcome.results)
+        results.push_back(std::move(slot.value()));
+    return results;
+}
+
 /** Exact per-config miss counts: bit-identical or bust. */
 struct MissCounts
 {
@@ -65,7 +81,7 @@ simulateCell(const fw::BenchmarkProfile &profile, uint32_t kb,
     dmc.line_bytes = line;
 
     fc::DmcSystem base(dmc);
-    fh::replayFast(*trace, base);
+    fh::replay(*trace, base);
 
     co::FvcConfig fvc;
     fvc.entries = 128;
@@ -100,7 +116,7 @@ runGrid(fh::ThreadPool &pool)
             }
         }
     }
-    return sweep.run();
+    return runAll(sweep);
 }
 
 } // namespace
@@ -175,7 +191,7 @@ TEST(SweepRunnerTest, ResultsInSubmissionOrder)
             return i;
         });
     }
-    auto results = sweep.run();
+    auto results = runAll(sweep);
     ASSERT_EQ(results.size(), 64u);
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i], i);
@@ -186,11 +202,11 @@ TEST(SweepRunnerTest, ReusableAfterRun)
     fh::ThreadPool pool(2);
     fh::SweepRunner<int> sweep(pool);
     sweep.submit([] { return 1; });
-    EXPECT_EQ(sweep.run(), std::vector<int>{1});
+    EXPECT_EQ(runAll(sweep), std::vector<int>{1});
     EXPECT_EQ(sweep.pending(), 0u);
     sweep.submit([] { return 2; });
     sweep.submit([] { return 3; });
-    EXPECT_EQ(sweep.run(), (std::vector<int>{2, 3}));
+    EXPECT_EQ(runAll(sweep), (std::vector<int>{2, 3}));
 }
 
 TEST(SweepRunnerTest, RunReportsAllFailuresIndexed)
@@ -205,20 +221,17 @@ TEST(SweepRunnerTest, RunReportsAllFailuresIndexed)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         throw std::runtime_error("job 2 failed");
     });
-    try {
-        sweep.run();
-        FAIL() << "expected a SweepError";
-    } catch (const fh::SweepError &e) {
-        // Every failure is in the summary, by submission index,
-        // not just the first one.
-        ASSERT_EQ(e.failures().size(), 2u);
-        EXPECT_EQ(e.failures()[0].index, 1u);
-        EXPECT_EQ(e.failures()[1].index, 2u);
-        std::string what = e.what();
-        EXPECT_NE(what.find("2/3"), std::string::npos) << what;
-        EXPECT_NE(what.find("job 1 failed"), std::string::npos);
-        EXPECT_NE(what.find("job 2 failed"), std::string::npos);
-    }
+    auto outcome = sweep.runChecked();
+    // Every failure is reported, by submission index, and the
+    // summary names all of them, not just the first one.
+    ASSERT_EQ(outcome.failures.size(), 2u);
+    EXPECT_EQ(outcome.failures[0].index, 1u);
+    EXPECT_EQ(outcome.failures[1].index, 2u);
+    const std::string summary =
+        fh::summarizeFailures(outcome.failures, 3);
+    EXPECT_NE(summary.find("2/3"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("job 1 failed"), std::string::npos);
+    EXPECT_NE(summary.find("job 2 failed"), std::string::npos);
 }
 
 TEST(SweepRunnerTest, RunCheckedReturnsPartialResults)
@@ -390,7 +403,7 @@ TEST(SinglePass, SplitGridOnSharedTraceMatchesWholeGrid)
     fh::SweepRunner<std::vector<fvc::fabric::CellStats>> sweep(pool);
     sweep.submit([&] { return run_cells(0, kCells / 2); });
     sweep.submit([&] { return run_cells(kCells / 2, kCells); });
-    const auto halves = sweep.run();
+    const auto halves = runAll(sweep);
     const auto whole = run_cells(0, kCells);
 
     ASSERT_EQ(halves.size(), 2u);
@@ -460,7 +473,7 @@ TEST(TraceRepositoryTest, UsableFromPoolWorkers)
             return repo.get(profile, 8000, 55).get();
         });
     }
-    auto ptrs = sweep.run();
+    auto ptrs = runAll(sweep);
     for (const auto *ptr : ptrs)
         EXPECT_EQ(ptr, ptrs[0]);
     EXPECT_EQ(repo.size(), 1u);

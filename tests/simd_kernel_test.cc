@@ -98,13 +98,13 @@ runReference(const harness::PreparedTrace &trace,
                 core::FrequentValueEncoding(trace.frequent_values,
                                             c.fvc.code_bits),
                 c.policy);
-            harness::replayFast(trace, system);
+            harness::replay(trace, system);
             r.stats = system.stats();
             r.fvc = system.fvcStats();
             r.has_fvc = true;
         } else {
             cache::DmcSystem system(c.dmc);
-            harness::replayFast(trace, system);
+            harness::replay(trace, system);
             r.stats = system.stats();
         }
         out.push_back(r);

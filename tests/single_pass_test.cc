@@ -90,7 +90,7 @@ TEST(SinglePass, BareDmcLanesMatchDmcSystem)
 
         for (size_t i = 0; i < configs.size(); ++i) {
             cache::DmcSystem reference(configs[i]);
-            harness::replayFast(trace, reference);
+            harness::replay(trace, reference);
             expectStatsEqual(reference.stats(), engine.stats(i),
                              std::string(sim::replayKernelName(kernel)) +
                                  " " + configs[i].describe());
@@ -157,7 +157,7 @@ TEST(SinglePass, MultiConfigMatchesPerCellOnAllProfiles)
 
         // Per-cell reference runs.
         cache::DmcSystem bare_ref(bare);
-        harness::replayFast(trace, bare_ref);
+        harness::replay(trace, bare_ref);
         expectStatsEqual(bare_ref.stats(), engine.stats(0),
                          profile.name + " bare");
         EXPECT_EQ(

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the persistent trace store: v3 file round-trips,
- * corruption rejection, sharded generation determinism, and the
- * TraceRepository's disk tier (warm hits, healing, eviction
+ * corruption and bad-op rejection, sharded generation determinism,
+ * and the TraceRepository's disk tier (warm hits, healing, eviction
  * preferences, content-keyed file names).
  */
 
@@ -310,6 +310,51 @@ TEST(TraceStoreTest, TruncationIsAStructuredError)
     EXPECT_FALSE(fh::loadTraceFile(path).ok());
 
     EXPECT_FALSE(fh::loadTraceFile(dir.file("missing.fvcs")).ok());
+}
+
+TEST(TraceStoreTest, BadOpByteUnderValidCrcIsCorrupt)
+{
+    // A flipped op byte fails its chunk CRC first, so only a writer
+    // that CRCs a bad op reaches the op-range check. Replay trusts
+    // every op byte it maps; the check must refuse the file.
+    TempDir dir;
+    const std::vector<uint64_t> icount = {1, 2, 3, 4};
+    const std::vector<ft::Addr> addr = {0x1000, 0x1004, 0x1000, 0x8};
+    const std::vector<ft::Word> value = {7, 0, 7, 1};
+    std::vector<uint8_t> op = {
+        static_cast<uint8_t>(ft::Op::Store),
+        static_cast<uint8_t>(ft::Op::Load),
+        static_cast<uint8_t>(ft::Op::Load),
+        static_cast<uint8_t>(ft::Op::Free)};
+    const std::vector<ft::Word> frequent = {7, 0};
+    const std::vector<uint8_t> image =
+        fvc::memmodel::FunctionalMemory().serialize();
+
+    ft::StoreMeta meta;
+    meta.name = "bad-op";
+    meta.instruction_count = 4;
+    meta.chunk_records = fvc::sim::kChunkRecords;
+    auto writeFixture = [&](const std::string &path) {
+        ft::StoreChunkView chunk{icount.data(), addr.data(),
+                                 value.data(), op.data(), 4};
+        auto err = ft::writeStore(path, meta, {chunk}, frequent,
+                                  image, image);
+        ASSERT_FALSE(err.has_value()) << err->describe();
+    };
+
+    // The same file with in-range ops loads, so the one byte below
+    // is the only thing wrong with it.
+    const std::string good = dir.file("good.fvcs");
+    writeFixture(good);
+    ASSERT_TRUE(fh::loadTraceFile(good).ok());
+
+    op[1] = static_cast<uint8_t>(ft::Op::Free) + 1;
+    const std::string bad = dir.file("bad.fvcs");
+    writeFixture(bad);
+    auto loaded = fh::loadTraceFile(bad);
+    ASSERT_FALSE(loaded.ok()) << "op byte 4 loaded";
+    EXPECT_EQ(loaded.error().code, fu::ErrorCode::Corrupt)
+        << loaded.error().describe();
 }
 
 // ---------------------------------------------------------------

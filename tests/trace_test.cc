@@ -1,18 +1,14 @@
 /**
  * @file
- * Unit tests for the trace module: records, sources, filters, and
- * binary file IO.
+ * Unit tests for the trace module's records and trace statistics
+ * (the store file format is tested in trace_store_test.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
+#include <vector>
 
-#include "trace/filters.hh"
 #include "trace/record.hh"
-#include "trace/source.hh"
-#include "trace/trace_file.hh"
 #include "trace/trace_stats.hh"
 
 namespace ft = fvc::trace;
@@ -30,12 +26,6 @@ sampleRecords()
         {ft::Op::Store, 0x2004, 7, 12},
         {ft::Op::Free, 0x1000, 64, 12},
     };
-}
-
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
 }
 
 } // namespace
@@ -58,141 +48,6 @@ TEST(RecordTest, WordIndex)
     EXPECT_EQ(ft::wordIndex(0), 0u);
     EXPECT_EQ(ft::wordIndex(4), 1u);
     EXPECT_EQ(ft::wordIndex(0x1000), 0x400u);
-}
-
-TEST(VectorSourceTest, YieldsAllRecordsInOrder)
-{
-    ft::VectorSource src(sampleRecords());
-    auto out = ft::collect(src);
-    EXPECT_EQ(out, sampleRecords());
-}
-
-TEST(VectorSourceTest, DrainCountsRecords)
-{
-    ft::VectorSource src(sampleRecords());
-    uint64_t seen = 0;
-    uint64_t n = ft::drain(src, [&](const ft::MemRecord &) { ++seen; });
-    EXPECT_EQ(n, sampleRecords().size());
-    EXPECT_EQ(seen, n);
-}
-
-TEST(VectorSourceTest, CollectHonorsLimit)
-{
-    ft::VectorSource src(sampleRecords());
-    auto out = ft::collect(src, 2);
-    EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(FilterTest, AccessOnlyDropsBookkeeping)
-{
-    ft::VectorSource src(sampleRecords());
-    ft::AccessOnlySource filtered(src);
-    auto out = ft::collect(filtered);
-    EXPECT_EQ(out.size(), 4u);
-    for (const auto &rec : out)
-        EXPECT_TRUE(rec.isAccess());
-}
-
-TEST(FilterTest, AddressRange)
-{
-    ft::VectorSource src(sampleRecords());
-    ft::AddressRangeSource ranged(src, 0x2000, 0x1000);
-    auto out = ft::collect(ranged);
-    // Alloc/Free pass through; only in-range accesses remain.
-    size_t accesses = 0;
-    for (const auto &rec : out) {
-        if (rec.isAccess()) {
-            EXPECT_GE(rec.addr, 0x2000u);
-            ++accesses;
-        }
-    }
-    EXPECT_EQ(accesses, 2u);
-}
-
-TEST(FilterTest, LimitTruncates)
-{
-    ft::VectorSource src(sampleRecords());
-    ft::LimitSource limited(src, 3);
-    EXPECT_EQ(ft::collect(limited).size(), 3u);
-}
-
-TEST(FilterTest, SampleStride)
-{
-    std::vector<ft::MemRecord> recs;
-    for (uint32_t i = 0; i < 100; ++i)
-        recs.push_back({ft::Op::Load, i * 4, i, i});
-    ft::VectorSource src(recs);
-    ft::SampleSource sampled(src, 10);
-    EXPECT_EQ(ft::collect(sampled).size(), 10u);
-}
-
-TEST(FilterTest, TeeObservesEverything)
-{
-    ft::VectorSource src(sampleRecords());
-    uint64_t count = 0;
-    ft::TeeSource tee(src, [&](const ft::MemRecord &) { ++count; });
-    ft::collect(tee);
-    EXPECT_EQ(count, sampleRecords().size());
-}
-
-TEST(TraceFileTest, EncodeDecodeRoundTrip)
-{
-    ft::MemRecord rec{ft::Op::Store, 0xdeadbeec, 0x12345678,
-                      0x1122334455667788ull};
-    uint8_t buf[ft::kRecordBytes];
-    ft::encodeRecord(rec, buf);
-    EXPECT_EQ(ft::decodeRecord(buf), rec);
-}
-
-TEST(TraceFileTest, WriteReadRoundTrip)
-{
-    std::string path = tempPath("roundtrip.fvct");
-    auto records = sampleRecords();
-    {
-        ft::TraceWriter writer(path, "unit-test", 99);
-        for (const auto &rec : records)
-            writer.append(rec);
-    }
-    ft::TraceReader reader(path);
-    EXPECT_EQ(reader.header().record_count, records.size());
-    EXPECT_EQ(reader.header().seed, 99u);
-    EXPECT_STREQ(reader.header().workload, "unit-test");
-    auto out = ft::collect(reader);
-    EXPECT_EQ(out, records);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFileTest, LargeTraceSurvivesBuffering)
-{
-    std::string path = tempPath("large.fvct");
-    const uint32_t n = 100000;
-    {
-        ft::TraceWriter writer(path);
-        for (uint32_t i = 0; i < n; ++i)
-            writer.append({ft::Op::Load, i * 4, i, i});
-    }
-    ft::TraceReader reader(path);
-    uint32_t i = 0;
-    ft::MemRecord rec;
-    while (reader.next(rec)) {
-        ASSERT_EQ(rec.addr, i * 4);
-        ASSERT_EQ(rec.value, i);
-        ++i;
-    }
-    EXPECT_EQ(i, n);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFileTest, CloseIsIdempotent)
-{
-    std::string path = tempPath("idem.fvct");
-    ft::TraceWriter writer(path);
-    writer.append({ft::Op::Load, 4, 1, 1});
-    writer.close();
-    writer.close();
-    ft::TraceReader reader(path);
-    EXPECT_EQ(reader.header().record_count, 1u);
-    std::remove(path.c_str());
 }
 
 TEST(TraceStatsTest, CountsAndFootprint)

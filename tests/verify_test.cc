@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the verification subsystem: FaultSpec parsing, seeded
- * fault-injection determinism, trace-file CRC integrity (every
- * single-bit corruption must be detected, the unframed v1 format is
- * refused), and the shadow-model cross-checker — both that it
- * passes on correct systems and that it fails loudly when the
- * injector breaks them.
+ * fault-injection determinism (file corruption included: the trace
+ * store must reject what the injector corrupts), and the
+ * shadow-model cross-checker — both that it passes on correct
+ * systems and that it fails loudly when the injector breaks them.
  */
 
 #include <gtest/gtest.h>
@@ -13,17 +12,17 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/dmc_fvc_system.hh"
 #include "harness/runner.hh"
-#include "trace/trace_file.hh"
+#include "harness/trace_repo.hh"
+#include "trace/trace_store.hh"
 #include "util/error.hh"
 #include "verify/fault_injector.hh"
 #include "verify/shadow_checker.hh"
+#include "workload/fingerprint.hh"
 #include "workload/generator.hh"
 
 namespace fv = fvc::verify;
@@ -58,22 +57,6 @@ loadTestRecords(uint32_t n, uint64_t seed = 0)
                         (i % 64) * 4, i * 7 + uint32_t(seed), i});
     }
     return recs;
-}
-
-std::vector<uint8_t>
-readAll(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                                std::istreambuf_iterator<char>());
-}
-
-void
-writeAll(const std::string &path, const std::vector<uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
 }
 
 /** A fig-shaped DMC+FVC system for a prepared trace. */
@@ -268,142 +251,34 @@ TEST(FaultInjectorTest, CorruptMemoryWordNeedsInterestingWords)
 }
 
 // ---------------------------------------------------------------
-// Trace-file integrity (CRC) and format version
+// Trace-file corruption
 // ---------------------------------------------------------------
-
-TEST(TraceIntegrityTest, EverySingleBitFlipIsDetected)
-{
-    // The acceptance gate of the integrity layer: flip every bit of
-    // the file body (frame + payload) one at a time; each corrupted
-    // copy must surface a structured error, never silently decode.
-    std::string path = tempPath("crc_base.fvct");
-    {
-        ft::TraceWriter writer(path, "crc-test", 1);
-        for (const auto &rec : loadTestRecords(64))
-            writer.append(rec);
-    }
-    std::vector<uint8_t> base = readAll(path);
-    ASSERT_EQ(base.size(), sizeof(ft::TraceHeader) +
-                               ft::kChunkFrameBytes +
-                               64 * ft::kRecordBytes);
-
-    std::string mutant = tempPath("crc_mutant.fvct");
-    for (size_t bit = sizeof(ft::TraceHeader) * 8;
-         bit < base.size() * 8; ++bit) {
-        std::vector<uint8_t> copy = base;
-        copy[bit / 8] ^= uint8_t(1u << (bit % 8));
-        writeAll(mutant, copy);
-
-        auto reader = ft::TraceReader::open(mutant);
-        ASSERT_TRUE(reader.ok()) << "bit " << bit;
-        ft::MemRecord rec;
-        while (reader.value()->next(rec)) {
-        }
-        ASSERT_TRUE(reader.value()->error().has_value())
-            << "silently decoded with bit " << bit << " flipped";
-        auto code = reader.value()->error()->code;
-        EXPECT_TRUE(code == fu::ErrorCode::Corrupt ||
-                    code == fu::ErrorCode::Truncated)
-            << "bit " << bit;
-    }
-    std::remove(path.c_str());
-    std::remove(mutant.c_str());
-}
 
 TEST(TraceIntegrityTest, CorruptFileHelperTripsTheReader)
 {
-    std::string path = tempPath("corrupt_helper.fvct");
-    {
-        ft::TraceWriter writer(path);
-        for (const auto &rec : loadTestRecords(128))
-            writer.append(rec);
-    }
+    // The store's own bit-flip sweep lives in trace_store_test.cc;
+    // this checks that the injector's file corruption reaches it.
+    auto profile = fw::specIntProfile(fw::SpecInt::Li130);
+    auto trace = fh::prepareTraceSharded(profile, 2000, 17, 10, 1);
+    fh::TraceKey key{profile.name, fw::profileFingerprint(profile),
+                     2000, 17, 10, 1};
+    std::string path = tempPath("corrupt_helper.fvcs");
+    auto saved = fh::saveTraceFile(path, trace, key);
+    ASSERT_FALSE(saved.has_value()) << saved->describe();
+    ASSERT_TRUE(fh::loadTraceFile(path).ok());
+
     auto spec = fv::FaultSpec::parse("seed=17,rate=0.001").value();
     auto flips = fv::FaultInjector(spec).corruptFile(
-        path, sizeof(ft::TraceHeader));
+        path, sizeof(ft::StoreHeader));
     ASSERT_TRUE(flips.ok()) << flips.error().describe();
     EXPECT_GE(flips.value(), 1u);
 
-    auto reader = ft::TraceReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    ft::MemRecord rec;
-    while (reader.value()->next(rec)) {
-    }
-    EXPECT_TRUE(reader.value()->error().has_value());
+    // The header is intact, so every flipped byte lies under a CRC.
+    auto loaded = fh::loadTraceFile(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, fu::ErrorCode::Corrupt)
+        << loaded.error().describe();
     std::remove(path.c_str());
-}
-
-TEST(TraceIntegrityTest, OpenReportsMissingFileAsError)
-{
-    auto reader = ft::TraceReader::open(tempPath("nonexistent.fvct"));
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.error().code, fu::ErrorCode::Io);
-}
-
-TEST(TraceIntegrityTest, OpenReportsBadMagicAsError)
-{
-    std::string path = tempPath("bad_magic.fvct");
-    writeAll(path, std::vector<uint8_t>(sizeof(ft::TraceHeader), 0));
-    auto reader = ft::TraceReader::open(path);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.error().code, fu::ErrorCode::Format);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIntegrityTest, OpenReportsUnsupportedVersionAsError)
-{
-    std::string path = tempPath("bad_version.fvct");
-    ft::TraceHeader header;
-    header.version = 99;
-    std::vector<uint8_t> bytes(sizeof(header));
-    std::memcpy(bytes.data(), &header, sizeof(header));
-    writeAll(path, bytes);
-    auto reader = ft::TraceReader::open(path);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.error().code, fu::ErrorCode::Format);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIntegrityTest, V1HeaderIsRejectedAsFormatError)
-{
-    // A v1 file is the same header followed by raw, unframed
-    // records. Nothing writes v1 any more, and without chunk CRCs
-    // its data could not be checked, so the reader refuses it.
-    std::string path = tempPath("v1.fvct");
-    auto records = loadTestRecords(10);
-    ft::TraceHeader header;
-    header.version = 1;
-    header.record_count = records.size();
-    std::vector<uint8_t> bytes(sizeof(header) +
-                               records.size() * ft::kRecordBytes);
-    std::memcpy(bytes.data(), &header, sizeof(header));
-    for (size_t i = 0; i < records.size(); ++i) {
-        ft::encodeRecord(records[i], bytes.data() + sizeof(header) +
-                                         i * ft::kRecordBytes);
-    }
-    writeAll(path, bytes);
-
-    auto reader = ft::TraceReader::open(path);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.error().code, fu::ErrorCode::Format);
-    EXPECT_NE(reader.error().message.find("unsupported trace version"),
-              std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIntegrityTest, DecodeRecordCheckedRejectsBadOpBytes)
-{
-    uint8_t buf[ft::kRecordBytes] = {};
-    for (unsigned op = 0; op < 256; ++op) {
-        buf[0] = uint8_t(op);
-        auto rec = ft::decodeRecordChecked(buf);
-        if (op <= unsigned(ft::Op::Free)) {
-            EXPECT_TRUE(rec.ok()) << "op " << op;
-        } else {
-            ASSERT_FALSE(rec.ok()) << "op " << op;
-            EXPECT_EQ(rec.error().code, fu::ErrorCode::Corrupt);
-        }
-    }
 }
 
 // ---------------------------------------------------------------

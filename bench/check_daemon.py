@@ -36,51 +36,19 @@ import sys
 import tempfile
 import time
 
-
-def gather_run(label, stdout_bytes, csv_dir):
-    """Bundle one run's observable output for comparison."""
-    csvs = {}
-    for name in sorted(os.listdir(csv_dir)):
-        if not name.endswith(".csv"):
-            continue
-        with open(os.path.join(csv_dir, name), "rb") as f:
-            csvs[name] = f.read()
-    return {"label": label, "stdout": stdout_bytes, "csvs": csvs}
+import gatelib
 
 
-def compare_runs(reference, candidate):
-    """List of mismatch descriptions between two gathered runs."""
-    errors = []
-    ref_label = reference["label"]
-    cand_label = candidate["label"]
-    if reference["stdout"] != candidate["stdout"]:
-        errors.append(
-            f"{cand_label}: stdout differs from {ref_label} "
-            f"({len(reference['stdout'])} vs "
-            f"{len(candidate['stdout'])} bytes)"
-        )
-    ref_csvs = reference["csvs"]
-    cand_csvs = candidate["csvs"]
-    for name in sorted(set(ref_csvs) - set(cand_csvs)):
-        errors.append(f"{cand_label}: missing CSV {name}")
-    for name in sorted(set(cand_csvs) - set(ref_csvs)):
-        errors.append(f"{cand_label}: unexpected extra CSV {name}")
-    for name in sorted(set(ref_csvs) & set(cand_csvs)):
-        if ref_csvs[name] != cand_csvs[name]:
-            errors.append(
-                f"{cand_label}: CSV {name} differs from "
-                f"{ref_label}"
-            )
-    return errors
-
-
-def base_env(accesses, base=os.environ):
-    """Environment shared by every run: `base` minus every FVC_*
-    knob, so nothing inherited (a socket, a result store, a fault
-    spec) reaches the daemon or its clients."""
-    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
-    env["FVC_TRACE_ACCESSES"] = str(accesses)
-    return env
+def daemon_env(result_dir, expect_warm, base=os.environ):
+    """The daemon's environment (gatelib.hermetic_env): nothing
+    inherited (a socket, a result store, a fault spec) reaches it.
+    The *daemon* carries the warm expectation: one simulation
+    dispatch while serving aborts it mid-sweep, which the client
+    surfaces as a failed run."""
+    return gatelib.hermetic_env(base, {
+        "FVC_RESULT_DIR": result_dir,
+        "FVC_RESULT_EXPECT_WARM": "1" if expect_warm else None,
+    })
 
 
 def client_env(accesses, daemon_sock, base=os.environ):
@@ -88,13 +56,11 @@ def client_env(accesses, daemon_sock, base=os.environ):
     in-process (FVC_DAEMON=off); otherwise the run must be served
     by the daemon on that socket (FVC_DAEMON=on: fallback is fatal,
     not silent)."""
-    env = base_env(accesses, base)
-    if daemon_sock is None:
-        env["FVC_DAEMON"] = "off"
-    else:
-        env["FVC_DAEMON"] = "on"
-        env["FVC_DAEMON_SOCK"] = daemon_sock
-    return env
+    return gatelib.hermetic_env(base, {
+        "FVC_TRACE_ACCESSES": accesses,
+        "FVC_DAEMON": "off" if daemon_sock is None else "on",
+        "FVC_DAEMON_SOCK": daemon_sock,
+    })
 
 
 class Daemon:
@@ -103,18 +69,10 @@ class Daemon:
     def __init__(self, binary, sock_path, result_dir,
                  expect_warm=False):
         self.sock_path = sock_path
-        env = base_env(0)
-        env.pop("FVC_TRACE_ACCESSES", None)
-        env["FVC_RESULT_DIR"] = result_dir
-        if expect_warm:
-            # The *daemon* carries the expectation: one simulation
-            # dispatch while serving aborts it mid-sweep, which the
-            # client surfaces as a failed run.
-            env["FVC_RESULT_EXPECT_WARM"] = "1"
         self.proc = subprocess.Popen(
             [binary, "--sock", sock_path, "--batch-ms", "5"],
-            env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE)
+            env=daemon_env(result_dir, expect_warm),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
     def wait_ready(self, timeout=10.0):
         """Poll until the daemon accepts connections."""
@@ -162,16 +120,7 @@ def run_fig13(binary, label, accesses, daemon_sock):
     """Run one fig13 sweep (see client_env); return its gathered
     output bundle."""
     env = client_env(accesses, daemon_sock)
-    with tempfile.TemporaryDirectory(prefix="fvc-dmn-") as csv_dir:
-        env["FVC_CSV_DIR"] = csv_dir
-        proc = subprocess.run(
-            [binary], env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, timeout=300, check=False)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr.decode(errors="replace"))
-            raise RuntimeError(
-                f"{label}: fig13 exited {proc.returncode}")
-        return gather_run(label, proc.stdout, csv_dir)
+    return gatelib.run_bench(binary, label, env)[0]
 
 
 def run_fig13_concurrently(binary, label, accesses, daemon_sock,
@@ -194,8 +143,8 @@ def run_fig13_concurrently(binary, label, accesses, daemon_sock,
                 raise RuntimeError(
                     f"{label} client {i}: fig13 exited "
                     f"{proc.returncode}")
-            bundles.append(
-                gather_run(f"{label} client {i}", out, csv_dir))
+            bundles.append(gatelib.gather_run(
+                f"{label} client {i}", out, csv_dir))
     finally:
         for csv_dir, proc in procs:
             if proc.poll() is None:
@@ -207,31 +156,11 @@ def run_fig13_concurrently(binary, label, accesses, daemon_sock,
 
 
 def self_test():
-    """Exercise the comparison logic on synthetic run bundles."""
-    ref = {"label": "daemon-off", "stdout": b"table\n",
-           "csvs": {"a.csv": b"1,2\n", "b.csv": b"3,4\n"}}
+    """Exercise the comparison logic and the run environments."""
+    gatelib.self_test()
 
-    # 1. Byte-identical runs pass.
-    same = {"label": "daemon cold", "stdout": b"table\n",
-            "csvs": {"a.csv": b"1,2\n", "b.csv": b"3,4\n"}}
-    assert compare_runs(ref, same) == []
-
-    # 2. stdout drift is caught and names both runs.
-    drift = dict(same, stdout=b"table!\n")
-    errors = compare_runs(ref, drift)
-    assert len(errors) == 1 and "stdout" in errors[0], errors
-    assert "daemon cold" in errors[0] and "daemon-off" in errors[0]
-
-    # 3. A changed, a missing and an extra CSV are all caught.
-    changed = dict(same, csvs={"a.csv": b"1,9\n", "c.csv": b""})
-    errors = compare_runs(ref, changed)
-    assert len(errors) == 3, errors
-    assert any("a.csv differs" in e for e in errors), errors
-    assert any("missing CSV b.csv" in e for e in errors), errors
-    assert any("extra CSV c.csv" in e for e in errors), errors
-
-    # 4. Run environments are hermetic: injected FVC_* knobs are
-    #    dropped, the pinned ones set, everything else kept.
+    # Run environments are hermetic: injected FVC_* knobs are
+    # dropped, the pinned ones set, everything else kept.
     injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
                 "FVC_FAULT_SPEC": "sweep_job=0",
                 "FVC_DAEMON_SOCK": "/elsewhere.sock", "PATH": "/bin"}
@@ -241,11 +170,16 @@ def self_test():
     served = client_env(20000, "/gate.sock", injected)
     assert served["FVC_DAEMON"] == "on", served
     assert served["FVC_DAEMON_SOCK"] == "/gate.sock", served
-    for env in (local, served, base_env(0, injected)):
+    daemon = daemon_env("/store", False, injected)
+    assert daemon["FVC_RESULT_DIR"] == "/store", daemon
+    assert "FVC_RESULT_EXPECT_WARM" not in daemon, daemon
+    assert daemon_env("/store", True, injected)[
+        "FVC_RESULT_EXPECT_WARM"] == "1"
+    for env in (local, served, daemon):
         assert "FVC_GEN_SHARDS" not in env, env
         assert "FVC_FAULT_SPEC" not in env, env
         assert env["PATH"] == "/bin", env
-    assert "FVC_DAEMON" not in base_env(0, injected)
+    assert "FVC_DAEMON" not in daemon, daemon
 
     print("check_daemon.py self-test: all checks passed")
     return 0
@@ -301,7 +235,7 @@ def main(argv):
         with Daemon(sweepd, sock, store):
             candidate = run_fig13(fig13, "daemon cold",
                                   args.accesses, sock)
-            errors = compare_runs(reference, candidate)
+            errors = gatelib.compare_runs(reference, candidate)
             print(f"  {'ok' if not errors else 'MISMATCH':<8} "
                   f"daemon cold")
             failures.extend(errors)
@@ -314,7 +248,7 @@ def main(argv):
                 fig13, label, args.accesses, sock, args.clients)
             bad = 0
             for bundle in bundles:
-                errors = compare_runs(reference, bundle)
+                errors = gatelib.compare_runs(reference, bundle)
                 bad += bool(errors)
                 failures.extend(errors)
             print(f"  {'ok' if not bad else 'MISMATCH':<8} {label}")
@@ -326,15 +260,12 @@ def main(argv):
         with Daemon(sweepd, sock, store, expect_warm=True):
             candidate = run_fig13(fig13, "daemon expect-warm",
                                   args.accesses, sock)
-            errors = compare_runs(reference, candidate)
+            errors = gatelib.compare_runs(reference, candidate)
             print(f"  {'ok' if not errors else 'MISMATCH':<8} "
                   f"daemon expect-warm")
             failures.extend(errors)
 
-    if failures:
-        print(f"\n{len(failures)} determinism failure(s):")
-        for failure in failures:
-            print(f"  {failure}")
+    if gatelib.report_failures(failures, "determinism"):
         return 1
     print(f"\ndaemon-served output byte-identical to in-process "
           f"across cold/warm and {args.clients} concurrent clients")

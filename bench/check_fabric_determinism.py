@@ -21,66 +21,20 @@ not the baseline.
 
 import argparse
 import os
-import subprocess
 import sys
-import tempfile
+
+import gatelib
 
 
-def gather_run(label, stdout_bytes, csv_dir):
-    """Bundle one run's observable output for comparison."""
-    csvs = {}
-    for name in sorted(os.listdir(csv_dir)):
-        if not name.endswith(".csv"):
-            continue
-        with open(os.path.join(csv_dir, name), "rb") as f:
-            csvs[name] = f.read()
-    return {"label": label, "stdout": stdout_bytes, "csvs": csvs}
-
-
-def compare_runs(reference, candidate):
-    """List of mismatch descriptions between two gathered runs.
-
-    Empty list means byte-identical stdout and byte-identical CSV
-    sets (same file names, same contents).
-    """
-    errors = []
-    ref_label = reference["label"]
-    cand_label = candidate["label"]
-    if reference["stdout"] != candidate["stdout"]:
-        errors.append(
-            f"{cand_label}: stdout differs from {ref_label} "
-            f"({len(reference['stdout'])} vs "
-            f"{len(candidate['stdout'])} bytes)"
-        )
-    ref_csvs = reference["csvs"]
-    cand_csvs = candidate["csvs"]
-    for name in sorted(set(ref_csvs) - set(cand_csvs)):
-        errors.append(f"{cand_label}: missing CSV {name}")
-    for name in sorted(set(cand_csvs) - set(ref_csvs)):
-        errors.append(f"{cand_label}: unexpected extra CSV {name}")
-    for name in sorted(set(ref_csvs) & set(cand_csvs)):
-        if ref_csvs[name] != cand_csvs[name]:
-            errors.append(
-                f"{cand_label}: CSV {name} differs from "
-                f"{ref_label}"
-            )
-    return errors
-
-
-def bench_env(base, accesses, workers, csv_dir):
-    """The environment of one fig13 run: `base` minus every FVC_*
-    knob, plus only the knobs this gate pins. No inherited knob (a
-    result store, a fault spec, a generation shard count) reaches
-    the run, and FVC_DAEMON=off keeps a running fvc_sweepd from
-    serving it: the cells must come from this process or its
-    forked workers."""
-    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
-    env["FVC_TRACE_ACCESSES"] = str(accesses)
-    env["FVC_DAEMON"] = "off"
-    env["FVC_CSV_DIR"] = csv_dir
-    if workers is not None:
-        env["FVC_WORKERS"] = str(workers)
-    return env
+def bench_env(base, accesses, workers):
+    """The environment of one fig13 run (gatelib.hermetic_env).
+    FVC_DAEMON=off keeps a running fvc_sweepd from serving it: the
+    cells must come from this process or its forked workers."""
+    return gatelib.hermetic_env(base, {
+        "FVC_TRACE_ACCESSES": accesses,
+        "FVC_DAEMON": "off",
+        "FVC_WORKERS": workers,
+    })
 
 
 def run_fig13(binary, workers, accesses):
@@ -93,66 +47,24 @@ def run_fig13(binary, workers, accesses):
     spills.
     """
     label = "serial" if workers is None else f"workers={workers}"
-    with tempfile.TemporaryDirectory(prefix="fvc-det-") as csv_dir:
-        env = bench_env(os.environ, accesses, workers, csv_dir)
-        proc = subprocess.run(
-            [binary], env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, timeout=300, check=False)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr.decode(errors="replace"))
-            raise RuntimeError(
-                f"{label}: fig13 exited {proc.returncode}")
-        return gather_run(label, proc.stdout, csv_dir)
+    env = bench_env(os.environ, accesses, workers)
+    return gatelib.run_bench(binary, label, env)[0]
 
 
 def self_test():
-    """Exercise the comparison logic on synthetic run bundles."""
-    ref = {"label": "serial", "stdout": b"table\n",
-           "csvs": {"a.csv": b"1,2\n", "b.csv": b"3,4\n"}}
+    """Exercise the comparison logic and the run environment."""
+    gatelib.self_test()
 
-    # 1. Byte-identical runs pass.
-    same = {"label": "workers=2", "stdout": b"table\n",
-            "csvs": {"a.csv": b"1,2\n", "b.csv": b"3,4\n"}}
-    assert compare_runs(ref, same) == []
-
-    # 2. A stdout drift is caught and names both runs.
-    drift = dict(same, stdout=b"table!\n")
-    errors = compare_runs(ref, drift)
-    assert len(errors) == 1 and "stdout" in errors[0], errors
-    assert "workers=2" in errors[0] and "serial" in errors[0]
-
-    # 3. A single changed CSV byte is caught by file name.
-    changed = dict(same, csvs={"a.csv": b"1,9\n", "b.csv": b"3,4\n"})
-    errors = compare_runs(ref, changed)
-    assert len(errors) == 1 and "a.csv" in errors[0], errors
-
-    # 4. A missing CSV and an extra CSV are both caught.
-    moved = dict(same, csvs={"b.csv": b"3,4\n", "c.csv": b""})
-    errors = compare_runs(ref, moved)
-    assert len(errors) == 2, errors
-    assert any("missing CSV a.csv" in e for e in errors), errors
-    assert any("extra CSV c.csv" in e for e in errors), errors
-
-    # 5. gather_run picks up only CSVs, sorted, and keeps bytes.
-    with tempfile.TemporaryDirectory() as d:
-        with open(os.path.join(d, "x.csv"), "wb") as f:
-            f.write(b"x\n")
-        with open(os.path.join(d, "notes.txt"), "wb") as f:
-            f.write(b"ignored")
-        bundle = gather_run("t", b"out", d)
-        assert bundle["csvs"] == {"x.csv": b"x\n"}, bundle
-
-    # 6. The bench environment is hermetic: injected FVC_* knobs
-    #    are dropped, the pinned ones set, everything else kept.
+    # The bench environment is hermetic: injected FVC_* knobs are
+    # dropped, the pinned ones set, everything else kept.
     injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
                 "FVC_FAULT_SPEC": "sweep_job=0", "PATH": "/bin"}
     for workers in (None, 2):
-        env = bench_env(injected, 20000, workers, "/csv")
+        env = bench_env(injected, 20000, workers)
         assert env["FVC_DAEMON"] == "off", env
         assert "FVC_GEN_SHARDS" not in env, env
         assert "FVC_FAULT_SPEC" not in env, env
         assert env["FVC_TRACE_ACCESSES"] == "20000", env
-        assert env["FVC_CSV_DIR"] == "/csv", env
         assert env["PATH"] == "/bin", env
         assert env.get("FVC_WORKERS") == (
             None if workers is None else "2"), env
@@ -202,15 +114,12 @@ def main(argv):
     failures = []
     for workers in args.workers:
         candidate = run_fig13(binary, workers, args.accesses)
-        errors = compare_runs(reference, candidate)
+        errors = gatelib.compare_runs(reference, candidate)
         tag = "ok" if not errors else "MISMATCH"
         print(f"  {tag:<8} {candidate['label']}")
         failures.extend(errors)
 
-    if failures:
-        print(f"\n{len(failures)} determinism failure(s):")
-        for failure in failures:
-            print(f"  {failure}")
+    if gatelib.report_failures(failures, "determinism"):
         return 1
     print(f"\nfabric output byte-identical to serial across "
           f"worker counts {args.workers}")

@@ -24,66 +24,25 @@ result cache, not the baseline.
 
 import argparse
 import os
-import subprocess
 import sys
 import tempfile
 
-
-def gather_run(label, stdout_bytes, csv_dir):
-    """Bundle one run's observable output for comparison."""
-    csvs = {}
-    for name in sorted(os.listdir(csv_dir)):
-        if not name.endswith(".csv"):
-            continue
-        with open(os.path.join(csv_dir, name), "rb") as f:
-            csvs[name] = f.read()
-    return {"label": label, "stdout": stdout_bytes, "csvs": csvs}
+import gatelib
 
 
-def compare_runs(reference, candidate):
-    """List of mismatch descriptions between two gathered runs."""
-    errors = []
-    ref_label = reference["label"]
-    cand_label = candidate["label"]
-    if reference["stdout"] != candidate["stdout"]:
-        errors.append(
-            f"{cand_label}: stdout differs from {ref_label} "
-            f"({len(reference['stdout'])} vs "
-            f"{len(candidate['stdout'])} bytes)"
-        )
-    ref_csvs = reference["csvs"]
-    cand_csvs = candidate["csvs"]
-    for name in sorted(set(ref_csvs) - set(cand_csvs)):
-        errors.append(f"{cand_label}: missing CSV {name}")
-    for name in sorted(set(cand_csvs) - set(ref_csvs)):
-        errors.append(f"{cand_label}: unexpected extra CSV {name}")
-    for name in sorted(set(ref_csvs) & set(cand_csvs)):
-        if ref_csvs[name] != cand_csvs[name]:
-            errors.append(
-                f"{cand_label}: CSV {name} differs from "
-                f"{ref_label}"
-            )
-    return errors
-
-
-def bench_env(base, accesses, jobs, mode, result_dir, expect_warm,
-              csv_dir):
-    """The environment of one fig13 run: `base` minus every FVC_*
-    knob, plus only the knobs this gate pins. FVC_DAEMON=off keeps
-    a running fvc_sweepd from serving the run, so every stage tests
-    this gate's own store and FVC_JOBS, not the daemon's."""
-    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
-    env["FVC_TRACE_ACCESSES"] = str(accesses)
-    env["FVC_DAEMON"] = "off"
-    env["FVC_CSV_DIR"] = csv_dir
-    if jobs is not None:
-        env["FVC_JOBS"] = str(jobs)
-    if mode is not None:
-        env["FVC_RESULT_DIR"] = result_dir
-        env["FVC_RESULT_CACHE"] = mode
-    if expect_warm:
-        env["FVC_RESULT_EXPECT_WARM"] = "1"
-    return env
+def bench_env(base, accesses, jobs, mode, result_dir, expect_warm):
+    """The environment of one fig13 run (gatelib.hermetic_env).
+    FVC_DAEMON=off keeps a running fvc_sweepd from serving the run,
+    so every stage tests this gate's own store and FVC_JOBS, not
+    the daemon's."""
+    return gatelib.hermetic_env(base, {
+        "FVC_TRACE_ACCESSES": accesses,
+        "FVC_DAEMON": "off",
+        "FVC_JOBS": jobs,
+        "FVC_RESULT_DIR": None if mode is None else result_dir,
+        "FVC_RESULT_CACHE": mode,
+        "FVC_RESULT_EXPECT_WARM": "1" if expect_warm else None,
+    })
 
 
 def run_fig13(binary, label, accesses, jobs, mode, result_dir,
@@ -94,52 +53,23 @@ def run_fig13(binary, label, accesses, jobs, mode, result_dir,
     otherwise it is the FVC_RESULT_CACHE value and `result_dir`
     holds the store.
     """
-    with tempfile.TemporaryDirectory(prefix="fvc-rcd-") as csv_dir:
-        env = bench_env(os.environ, accesses, jobs, mode,
-                        result_dir, expect_warm, csv_dir)
-        proc = subprocess.run(
-            [binary], env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, timeout=300, check=False)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr.decode(errors="replace"))
-            raise RuntimeError(
-                f"{label}: fig13 exited {proc.returncode}")
-        return gather_run(label, proc.stdout, csv_dir)
+    env = bench_env(os.environ, accesses, jobs, mode, result_dir,
+                    expect_warm)
+    return gatelib.run_bench(binary, label, env)[0]
 
 
 def self_test():
-    """Exercise the comparison logic on synthetic run bundles."""
-    ref = {"label": "cache-off", "stdout": b"table\n",
-           "csvs": {"a.csv": b"1,2\n", "b.csv": b"3,4\n"}}
+    """Exercise the comparison logic and the run environment."""
+    gatelib.self_test()
 
-    # 1. Byte-identical runs pass.
-    same = {"label": "warm jobs=8", "stdout": b"table\n",
-            "csvs": {"a.csv": b"1,2\n", "b.csv": b"3,4\n"}}
-    assert compare_runs(ref, same) == []
-
-    # 2. stdout drift is caught and names both runs.
-    drift = dict(same, stdout=b"table!\n")
-    errors = compare_runs(ref, drift)
-    assert len(errors) == 1 and "stdout" in errors[0], errors
-    assert "warm jobs=8" in errors[0] and "cache-off" in errors[0]
-
-    # 3. A changed, a missing and an extra CSV are all caught.
-    changed = dict(same, csvs={"a.csv": b"1,9\n", "c.csv": b""})
-    errors = compare_runs(ref, changed)
-    assert len(errors) == 3, errors
-    assert any("a.csv differs" in e for e in errors), errors
-    assert any("missing CSV b.csv" in e for e in errors), errors
-    assert any("extra CSV c.csv" in e for e in errors), errors
-
-    # 4. The bench environment is hermetic: injected FVC_* knobs
-    #    are dropped, the pinned ones set, everything else kept.
+    # The bench environment is hermetic: injected FVC_* knobs are
+    # dropped, the pinned ones set, everything else kept.
     injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
                 "FVC_FAULT_SPEC": "sweep_job=0",
                 "FVC_RESULT_DIR": "/elsewhere", "PATH": "/bin"}
-    off = bench_env(injected, 20000, None, None, None, False, "/csv")
+    off = bench_env(injected, 20000, None, None, None, False)
     assert "FVC_RESULT_DIR" not in off and "FVC_JOBS" not in off, off
-    warm = bench_env(injected, 20000, 8, "readonly", "/store", True,
-                     "/csv")
+    warm = bench_env(injected, 20000, 8, "readonly", "/store", True)
     assert warm["FVC_RESULT_DIR"] == "/store", warm
     assert warm["FVC_RESULT_CACHE"] == "readonly", warm
     assert warm["FVC_JOBS"] == "8", warm
@@ -206,15 +136,12 @@ def main(argv):
                 candidate = run_fig13(binary, label, args.accesses,
                                       jobs, mode, rdir,
                                       expect_warm=expect_warm)
-                errors = compare_runs(reference, candidate)
+                errors = gatelib.compare_runs(reference, candidate)
                 tag = "ok" if not errors else "MISMATCH"
                 print(f"  {tag:<8} {label}")
                 failures.extend(errors)
 
-    if failures:
-        print(f"\n{len(failures)} determinism failure(s):")
-        for failure in failures:
-            print(f"  {failure}")
+    if gatelib.report_failures(failures, "determinism"):
         return 1
     print(f"\nresult-cache output byte-identical to cache-off "
           f"across cold/warm/readonly and FVC_JOBS {args.jobs}")

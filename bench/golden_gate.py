@@ -40,6 +40,8 @@ import subprocess
 import sys
 import tempfile
 
+import gatelib
+
 REL_TOL = 1e-9
 
 BENCHES = [
@@ -159,17 +161,15 @@ def parse_manifest(text):
 
 
 def gate_env(accesses, base):
-    """The environment every bench runs under: @base minus every
-    FVC_* knob, plus only the knobs the gate pins (refresh_golden.sh
-    builds the same one), so the gate always compares
-    default-configuration, in-process runs."""
-    env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
-    env.update({
+    """The environment every bench runs under
+    (gatelib.hermetic_env; refresh_golden.sh builds the same one),
+    so the gate always compares default-configuration, in-process
+    runs."""
+    return gatelib.hermetic_env(base, {
         "FVC_TRACE_ACCESSES": accesses,
         "FVC_STRICT": "1",
         "FVC_DAEMON": "off",
     })
-    return env
 
 
 def run_gate(build_dir, golden_dir):

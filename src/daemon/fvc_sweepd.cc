@@ -60,11 +60,12 @@ main(int argc, char **argv)
         }
     }
 
-    auto server = daemon::Server::create(options);
-    if (!server.ok())
-        fvc_fatal("fvc_sweepd: ", server.error().describe());
+    auto created = daemon::Server::create(options);
+    if (!created.ok())
+        fvc_fatal("fvc_sweepd: ", created.error().describe());
+    daemon::Server &server = *created.value();
 
-    g_server = &server.value();
+    g_server = &server;
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_handler = onSignal;
@@ -72,9 +73,9 @@ main(int argc, char **argv)
     ::sigaction(SIGINT, &sa, nullptr);
 
     fvc_inform("fvc_sweepd listening on ",
-               server.value().socketPath(), " (pid ", ::getpid(),
+               server.socketPath(), " (pid ", ::getpid(),
                ")");
-    server.value().run();
+    server.run();
     fvc_inform("fvc_sweepd exiting");
     g_server = nullptr;
     return 0;

@@ -403,10 +403,8 @@ FrameBuffer::next()
 }
 
 std::optional<util::Error>
-sendFrame(int fd, uint32_t kind, const std::vector<uint8_t> &payload)
+sendBytes(int fd, const std::vector<uint8_t> &bytes)
 {
-    const std::vector<uint8_t> bytes =
-        util::frameBytes(kDaemonMagic, kind, payload);
     size_t sent = 0;
     while (sent < bytes.size()) {
         const ssize_t n =
@@ -423,6 +421,12 @@ sendFrame(int fd, uint32_t kind, const std::vector<uint8_t> &payload)
         sent += static_cast<size_t>(n);
     }
     return std::nullopt;
+}
+
+std::optional<util::Error>
+sendFrame(int fd, uint32_t kind, const std::vector<uint8_t> &payload)
+{
+    return sendBytes(fd, util::frameBytes(kDaemonMagic, kind, payload));
 }
 
 } // namespace fvc::daemon

@@ -184,8 +184,12 @@ class FrameBuffer
     std::string reason_;
 };
 
-/** Write all of @p frame to @p fd (MSG_NOSIGNAL, retries short
+/** Write all of @p bytes to @p fd (MSG_NOSIGNAL, retries short
  * writes). Returns an Error when the peer is gone. */
+std::optional<util::Error>
+sendBytes(int fd, const std::vector<uint8_t> &bytes);
+
+/** sendBytes of one frame. */
 std::optional<util::Error>
 sendFrame(int fd, uint32_t kind, const std::vector<uint8_t> &payload);
 

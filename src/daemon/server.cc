@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -13,6 +15,7 @@
 #include "fabric/cell.hh"
 #include "fabric/queue.hh"
 #include "resultcache/repository.hh"
+#include "util/framed.hh"
 #include "util/logging.hh"
 
 namespace fvc::daemon {
@@ -49,6 +52,15 @@ daemonAnswers(const std::string &path)
     return up;
 }
 
+/** Read a non-blocking pipe empty. */
+void
+drainPipe(int fd)
+{
+    char bytes[16];
+    while (::read(fd, bytes, sizeof(bytes)) > 0) {
+    }
+}
+
 } // namespace
 
 /** One client connection's state. */
@@ -58,30 +70,44 @@ struct Server::Conn
     uint64_t id = 0;
     bool said_hello = false;
     bool wants_shutdown_ack = false;
+    /** Submissions pending or simulating; while any is, the next
+     * one queues behind it, so replies keep submission order. */
+    size_t queued = 0;
     FrameBuffer frames;
 };
 
-/** One SubmitCells frame awaiting the batch dispatch. */
+/** One SubmitCells frame awaiting a batch. */
 struct Server::Pending
 {
     uint64_t conn_id = 0;
     std::vector<fabric::CellSpec> cells;
 };
 
-util::Expected<Server>
+/** The batch on its thread. The thread only reads the submissions
+ * and only writes the results; the poll loop touches neither until
+ * it has joined the thread. */
+struct Server::Batch
+{
+    std::vector<Pending> submissions;
+    /** One slot per cell, the submissions' cells in order. */
+    std::vector<std::optional<fabric::CellStats>> results;
+    std::thread thread;
+};
+
+util::Expected<std::unique_ptr<Server>>
 Server::create(const Options &options)
 {
-    Server server;
-    server.path_ = options.socket_path.empty()
-                       ? fvc::daemon::socketPath()
-                       : options.socket_path;
-    server.batch_window_ms_ = options.batch_window_ms;
+    std::unique_ptr<Server> server(new Server);
+    server->path_ = options.socket_path.empty()
+                        ? fvc::daemon::socketPath()
+                        : options.socket_path;
+    server->batch_window_ms_ = options.batch_window_ms;
 
     sockaddr_un addr;
-    if (!sockaddrFor(server.path_, addr)) {
+    if (!sockaddrFor(server->path_, addr)) {
         return util::Error{util::ErrorCode::Invalid,
                            "socket path too long for sockaddr_un",
-                           server.path_};
+                           server->path_};
     }
     int fd = ::socket(AF_UNIX,
                       SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
@@ -89,7 +115,7 @@ Server::create(const Options &options)
         return util::Error{util::ErrorCode::Io,
                            std::string("socket failed: ") +
                                std::strerror(errno),
-                           server.path_};
+                           server->path_};
     }
     if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0) {
@@ -99,20 +125,20 @@ Server::create(const Options &options)
             return util::Error{util::ErrorCode::Io,
                                std::string("bind failed: ") +
                                    std::strerror(err),
-                               server.path_};
+                               server->path_};
         }
         // The path exists. A live daemon answers a connect probe
         // and must not be displaced; a stale file from a dead pid
         // refuses it, and is safe to clean and rebind.
-        if (daemonAnswers(server.path_)) {
+        if (daemonAnswers(server->path_)) {
             ::close(fd);
             return util::Error{util::ErrorCode::Invalid,
                                "a daemon is already serving this "
                                "socket",
-                               server.path_};
+                               server->path_};
         }
-        fvc_warn("removing stale daemon socket ", server.path_);
-        ::unlink(server.path_.c_str());
+        fvc_warn("removing stale daemon socket ", server->path_);
+        ::unlink(server->path_.c_str());
         if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
                    sizeof(addr)) != 0) {
             int err = errno;
@@ -120,34 +146,37 @@ Server::create(const Options &options)
             return util::Error{util::ErrorCode::Io,
                                std::string("rebind failed: ") +
                                    std::strerror(err),
-                               server.path_};
+                               server->path_};
         }
     }
     if (::listen(fd, 64) != 0) {
         int err = errno;
         ::close(fd);
-        ::unlink(server.path_.c_str());
+        ::unlink(server->path_.c_str());
         return util::Error{util::ErrorCode::Io,
                            std::string("listen failed: ") +
                                std::strerror(err),
-                           server.path_};
+                           server->path_};
     }
-    if (::pipe2(server.stop_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
+    if (::pipe2(server->stop_pipe_, O_CLOEXEC | O_NONBLOCK) != 0 ||
+        ::pipe2(server->done_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
         int err = errno;
         ::close(fd);
-        ::unlink(server.path_.c_str());
+        ::unlink(server->path_.c_str());
         return util::Error{util::ErrorCode::Io,
                            std::string("pipe failed: ") +
                                std::strerror(err),
-                           server.path_};
+                           server->path_};
     }
-    server.listen_fd_ = fd;
-    server.counters_.pid = static_cast<uint32_t>(::getpid());
+    server->listen_fd_ = fd;
+    server->counters_.pid = static_cast<uint32_t>(::getpid());
     return server;
 }
 
 Server::~Server()
 {
+    if (batch_)
+        batch_->thread.join();
     for (auto &conn : conns_) {
         if (conn->fd >= 0)
             ::close(conn->fd);
@@ -156,36 +185,11 @@ Server::~Server()
         ::close(listen_fd_);
         ::unlink(path_.c_str());
     }
-    for (int fd : stop_pipe_) {
+    for (int fd : {stop_pipe_[0], stop_pipe_[1], done_pipe_[0],
+                   done_pipe_[1]}) {
         if (fd >= 0)
             ::close(fd);
     }
-}
-
-Server::Server(Server &&other) noexcept { *this = std::move(other); }
-
-Server &
-Server::operator=(Server &&other) noexcept
-{
-    if (this != &other) {
-        this->~Server();
-        listen_fd_ = other.listen_fd_;
-        stop_pipe_[0] = other.stop_pipe_[0];
-        stop_pipe_[1] = other.stop_pipe_[1];
-        path_ = std::move(other.path_);
-        batch_window_ms_ = other.batch_window_ms_;
-        batch_deadline_ms_ = other.batch_deadline_ms_;
-        draining_ = other.draining_;
-        conns_ = std::move(other.conns_);
-        pending_ = std::move(other.pending_);
-        counters_ = other.counters_;
-        other.listen_fd_ = -1;
-        other.stop_pipe_[0] = -1;
-        other.stop_pipe_[1] = -1;
-        other.conns_.clear();
-        other.pending_.clear();
-    }
-    return *this;
 }
 
 void
@@ -208,10 +212,9 @@ Server::acceptClients()
                 continue;
             return; // EAGAIN: drained the backlog.
         }
-        static uint64_t next_id = 1;
         auto conn = std::make_unique<Conn>();
         conn->fd = fd;
-        conn->id = next_id++;
+        conn->id = next_conn_id_++;
         conns_.push_back(std::move(conn));
         ++counters_.connections;
     }
@@ -265,15 +268,7 @@ Server::handleFrame(Conn &conn, const util::Frame &frame)
                      cells.error().describe(), ")");
             return false;
         }
-        if (pending_.empty()) {
-            batch_deadline_ms_ =
-                fabric::monotonicMs() + batch_window_ms_;
-        }
-        ++counters_.submits;
-        counters_.cells_received += cells.value().size();
-        pending_.push_back(
-            Pending{conn.id, std::move(cells.value())});
-        return true;
+        return submit(conn, std::move(cells.value()));
       }
       case kKindPing: {
         auto token = decodePing(frame.payload);
@@ -347,24 +342,59 @@ Server::statsSnapshot() const
     return stats;
 }
 
-void
-Server::dispatchBatch()
+bool
+Server::submit(Conn &conn, std::vector<fabric::CellSpec> cells)
 {
-    struct Slice
-    {
-        uint64_t conn_id;
-        size_t begin;
-        size_t count;
-    };
-    std::vector<Slice> slices;
-    std::vector<fabric::CellSpec> all;
-    for (auto &pending : pending_) {
-        slices.push_back(Slice{pending.conn_id, all.size(),
-                               pending.cells.size()});
-        all.insert(all.end(),
-                   std::make_move_iterator(pending.cells.begin()),
-                   std::make_move_iterator(pending.cells.end()));
+    ++counters_.submits;
+    counters_.cells_received += cells.size();
+    if (conn.queued == 0) {
+        if (auto stored = resultcache::ResultRepository::shared()
+                              .serveStored(cells)) {
+            const std::vector<std::optional<fabric::CellStats>>
+                results(stored->begin(), stored->end());
+            return reply(conn, cells, results);
+        }
     }
+    if (pending_.empty())
+        batch_deadline_ms_ = fabric::monotonicMs() + batch_window_ms_;
+    ++conn.queued;
+    pending_.push_back(Pending{conn.id, std::move(cells)});
+    return true;
+}
+
+bool
+Server::reply(Conn &conn, std::span<const fabric::CellSpec> cells,
+              std::span<const std::optional<fabric::CellStats>>
+                  results)
+{
+    std::vector<uint8_t> bytes;
+    const auto append = [&bytes](uint32_t kind,
+                                 const std::vector<uint8_t> &payload) {
+        const auto frame = util::frameBytes(kDaemonMagic, kind, payload);
+        bytes.insert(bytes.end(), frame.begin(), frame.end());
+    };
+    for (size_t i = 0; i < cells.size(); ++i) {
+        ResultFrame rf;
+        rf.index = static_cast<uint32_t>(i);
+        rf.fingerprint = fabric::cellFingerprint(cells[i]);
+        if (results[i])
+            rf.stats = *results[i];
+        else
+            rf.status = 1;
+        append(kKindResult, encodeResultFrame(rf));
+    }
+    append(kKindBatchDone, encodeBatchDone(cells.size()));
+    if (sendBytes(conn.fd, bytes))
+        return false;
+    counters_.results_sent += cells.size();
+    return true;
+}
+
+void
+Server::startBatch()
+{
+    batch_ = std::make_unique<Batch>();
+    batch_->submissions = std::move(pending_);
     pending_.clear();
     ++counters_.batches;
 
@@ -372,69 +402,77 @@ Server::dispatchBatch()
     // repository collapses duplicate fingerprints across clients
     // and serves store hits without simulating (its counters are
     // the dedup proof the Stats frame exposes).
-    auto results = resultcache::ResultRepository::shared().runCells(
-        all, "daemon batch");
-
-    for (const auto &slice : slices) {
-        Conn *conn = nullptr;
-        for (auto &candidate : conns_) {
-            if (candidate->id == slice.conn_id &&
-                candidate->fd >= 0) {
-                conn = candidate.get();
-                break;
+    std::vector<fabric::CellSpec> cells;
+    for (const auto &pending : batch_->submissions)
+        cells.insert(cells.end(), pending.cells.begin(),
+                     pending.cells.end());
+    batch_->thread = std::thread(
+        [batch = batch_.get(), done = done_pipe_[1],
+         cells = std::move(cells)] {
+            try {
+                batch->results =
+                    resultcache::ResultRepository::shared().runCells(
+                        cells, "daemon batch");
+            } catch (const std::exception &e) {
+                // Never a dead daemon: the batch's cells are FAILED.
+                fvc_warn("daemon: batch failed: ", e.what());
+                batch->results.assign(cells.size(), std::nullopt);
             }
-        }
+            const char byte = 'b';
+            [[maybe_unused]] ssize_t n = ::write(done, &byte, 1);
+        });
+}
+
+void
+Server::finishBatch()
+{
+    batch_->thread.join();
+    std::span<const std::optional<fabric::CellStats>> results =
+        batch_->results;
+    for (const auto &pending : batch_->submissions) {
+        const size_t count = pending.cells.size();
+        auto it = std::find_if(
+            conns_.begin(), conns_.end(), [&](const auto &conn) {
+                return conn->id == pending.conn_id && conn->fd >= 0;
+            });
         // A client that died mid-batch wasted nothing: the results
         // are published to the store for the next asker.
-        for (size_t i = 0; conn && i < slice.count; ++i) {
-            ResultFrame rf;
-            rf.index = static_cast<uint32_t>(i);
-            rf.fingerprint =
-                fabric::cellFingerprint(all[slice.begin + i]);
-            if (const auto &stats = results[slice.begin + i]) {
-                rf.stats = *stats;
-            } else {
-                rf.status = 1;
-            }
-            if (sendFrame(conn->fd, kKindResult,
-                          encodeResultFrame(rf))) {
-                closeConn(*conn);
-                conn = nullptr;
-                break;
-            }
-            ++counters_.results_sent;
+        if (it != conns_.end()) {
+            --(*it)->queued;
+            if (!reply(**it, pending.cells, results.first(count)))
+                closeConn(**it);
         }
-        if (conn && sendFrame(conn->fd, kKindBatchDone,
-                              encodeBatchDone(slice.count))) {
-            closeConn(*conn);
-        }
+        results = results.subspan(count);
     }
+    batch_.reset();
 }
 
 void
 Server::run()
 {
-    fvc_assert(valid(), "Server::run() on an invalid server");
     while (true) {
-        // A pending batch bounds the poll by its window deadline;
-        // a drain request bounds it at zero so the loop falls
-        // through to the final dispatch.
+        // Pending submissions bound the poll by their window's
+        // deadline, or by zero once draining. While a batch
+        // simulates they wait for it, and its done byte wakes the
+        // loop.
         int timeout = -1;
-        if (draining_) {
-            timeout = 0;
-        } else if (!pending_.empty()) {
+        if (!batch_ && !pending_.empty()) {
             const uint64_t now = fabric::monotonicMs();
-            timeout = batch_deadline_ms_ > now
-                          ? static_cast<int>(
-                                batch_deadline_ms_ - now)
-                          : 0;
+            timeout = draining_ || batch_deadline_ms_ <= now
+                          ? 0
+                          : static_cast<int>(batch_deadline_ms_ - now);
         }
 
+        // A draining loop reads no client: the work it has taken
+        // finishes, and nothing new starts.
         std::vector<pollfd> fds;
         fds.push_back(pollfd{stop_pipe_[0], POLLIN, 0});
-        fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-        for (const auto &conn : conns_)
-            fds.push_back(pollfd{conn->fd, POLLIN, 0});
+        fds.push_back(pollfd{done_pipe_[0], POLLIN, 0});
+        if (!draining_) {
+            fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+            for (const auto &conn : conns_)
+                fds.push_back(pollfd{conn->fd, POLLIN, 0});
+        }
 
         const int ready =
             ::poll(fds.data(),
@@ -446,17 +484,18 @@ Server::run()
         }
 
         if (fds[0].revents & POLLIN) {
-            char drain[16];
-            while (::read(stop_pipe_[0], drain, sizeof(drain)) >
-                   0) {
-            }
+            drainPipe(stop_pipe_[0]);
             draining_ = true;
         }
-        if (fds[1].revents & POLLIN)
+        if (fds[1].revents & POLLIN) {
+            drainPipe(done_pipe_[0]);
+            finishBatch();
+        }
+        if (fds.size() > 2 && (fds[2].revents & POLLIN))
             acceptClients();
-        for (size_t i = 2; i < fds.size(); ++i) {
+        for (size_t i = 3; i < fds.size(); ++i) {
             if (fds[i].revents & (POLLIN | POLLHUP | POLLERR))
-                readClient(*conns_[i - 2]);
+                readClient(*conns_[i - 3]);
         }
         conns_.erase(
             std::remove_if(conns_.begin(), conns_.end(),
@@ -465,13 +504,13 @@ Server::run()
                            }),
             conns_.end());
 
-        if (!pending_.empty() &&
+        if (!batch_ && !pending_.empty() &&
             (draining_ ||
              fabric::monotonicMs() >= batch_deadline_ms_)) {
-            dispatchBatch();
+            startBatch();
         }
 
-        if (draining_ && pending_.empty()) {
+        if (draining_ && !batch_ && pending_.empty()) {
             // Drained: acknowledge every requester, then exit. The
             // destructor unlinks the socket file.
             for (auto &conn : conns_) {

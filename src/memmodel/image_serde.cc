@@ -58,13 +58,13 @@ FunctionalMemory::deserialize(const uint8_t *data, size_t bytes)
 
     if (bytes < 8) {
         return Error{ErrorCode::Truncated,
-                     "image shorter than its page count"};
+                     "image shorter than its page count", ""};
     }
     uint64_t count = 0;
     std::memcpy(&count, data, 8);
     if (bytes != 8 + count * kPageRecordBytes) {
         return Error{ErrorCode::Format,
-                     "image size does not match page count"};
+                     "image size does not match page count", ""};
     }
 
     FunctionalMemory out;
@@ -77,13 +77,13 @@ FunctionalMemory::deserialize(const uint8_t *data, size_t bytes)
         std::memcpy(&pad, p + 4, 4);
         if (pad != 0) {
             return Error{ErrorCode::Format,
-                         "nonzero padding in image page record"};
+                         "nonzero padding in image page record", ""};
         }
         // Strictly increasing order doubles as a duplicate check
         // and keeps serialize(deserialize(x)) == x.
         if (i != 0 && num <= prev_num) {
             return Error{ErrorCode::Format,
-                         "image pages out of order"};
+                         "image pages out of order", ""};
         }
         prev_num = num;
         auto page = std::make_unique<Page>();

@@ -121,6 +121,36 @@ runGroup(const std::vector<fabric::CellSpec> &group)
     return out;
 }
 
+/** The store's records by fingerprint; empty when @p mode is
+ * Disabled or the file is absent or unreadable. A corrupt or torn
+ * file serves what survived — the rejected records regenerate on
+ * their next miss and that publish heals the file wholesale. */
+std::unordered_map<uint64_t, fabric::CellStats>
+readStored(ResultMode mode)
+{
+    std::unordered_map<uint64_t, fabric::CellStats> known;
+    if (mode == ResultMode::Disabled)
+        return known;
+    std::error_code ec;
+    const std::string path = resultFilePath();
+    if (!std::filesystem::exists(path, ec))
+        return known;
+    auto contents = readResultFile(path);
+    if (!contents.ok()) {
+        fvc_warn("result store unreadable (",
+                 contents.error().describe(), "); treating as cold");
+        return known;
+    }
+    if (contents.value().rejected_frames) {
+        fvc_warn("result store ", path, ": ",
+                 contents.value().rejected_frames,
+                 " corrupt record(s) rejected");
+    }
+    for (const auto &r : contents.value().records)
+        known.emplace(r.fingerprint, r.stats);
+    return known;
+}
+
 } // namespace
 
 ResultMode
@@ -249,31 +279,9 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
     for (size_t i = 0; i < n; ++i)
         fps[i] = fabric::cellFingerprint(cells[i]);
 
-    // Tier 1: the persistent store. A corrupt or torn file serves
-    // what survived — the rejected records regenerate below and the
-    // next publish heals the file wholesale.
+    // Tier 1: the persistent store.
     const ResultMode mode = resultMode();
-    std::unordered_map<uint64_t, fabric::CellStats> known;
-    if (mode != ResultMode::Disabled) {
-        std::error_code ec;
-        const std::string path = resultFilePath();
-        if (std::filesystem::exists(path, ec)) {
-            auto contents = readResultFile(path);
-            if (contents.ok()) {
-                if (contents.value().rejected_frames) {
-                    fvc_warn("result store ", path, ": ",
-                             contents.value().rejected_frames,
-                             " corrupt record(s) rejected");
-                }
-                for (const auto &r : contents.value().records)
-                    known.emplace(r.fingerprint, r.stats);
-            } else {
-                fvc_warn("result store unreadable (",
-                         contents.error().describe(),
-                         "); treating as cold");
-            }
-        }
-    }
+    auto known = readStored(mode);
 
     // Resume: the spills a killed fabric run left in FVC_FABRIC_DIR
     // hold finished cells. They serve like store hits and publish
@@ -414,6 +422,22 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
     out.reserve(n);
     for (size_t i = 0; i < n; ++i)
         out.push_back(resolved[fps[i]]);
+    return out;
+}
+
+std::optional<std::vector<fabric::CellStats>>
+ResultRepository::serveStored(const std::vector<fabric::CellSpec> &cells)
+{
+    const auto known = readStored(resultMode());
+    std::vector<fabric::CellStats> out;
+    out.reserve(cells.size());
+    for (const auto &cell : cells) {
+        auto it = known.find(fabric::cellFingerprint(cell));
+        if (it == known.end())
+            return std::nullopt;
+        out.push_back(it->second);
+    }
+    store_hits_ += cells.size();
     return out;
 }
 

@@ -115,7 +115,9 @@ planDispatch(const std::vector<fabric::CellSpec> &cells,
 
 /**
  * The shared warm-serve layer. Thread-safe at the granularity
- * benches use it (one runCells call per sweep).
+ * benches use it (one runCells call per sweep); serveStored may
+ * run beside a runCells call, since a publish replaces the store
+ * file by atomic rename and the counters are atomic.
  */
 class ResultRepository
 {
@@ -132,6 +134,18 @@ class ResultRepository
     std::vector<std::optional<fabric::CellStats>>
     runCells(const std::vector<fabric::CellSpec> &cells,
              const std::string &what);
+
+    /**
+     * Serve @p cells from the persistent store alone, or not at
+     * all: one result per cell in submission order when the store
+     * holds every cell's fingerprint, nullopt when any cell would
+     * need a simulation (or the cache is disabled). Never
+     * simulates and never publishes. A served call counts every
+     * cell — repeats included — as a store hit, exactly as
+     * runCells counts a stored cell.
+     */
+    std::optional<std::vector<fabric::CellStats>>
+    serveStored(const std::vector<fabric::CellSpec> &cells);
 
     /** Cells served from the persistent store. */
     uint64_t storeHits() const { return store_hits_; }

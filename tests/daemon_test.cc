@@ -4,11 +4,13 @@
  * malformed-payload rejection, the FrameBuffer's stream reassembly
  * and poisoning, FVC_DAEMON and socket-path knobs, live-daemon
  * serving parity against direct simulation, a >=10k-frame malformed
- * fuzz against a live daemon, forked multi-client dedup proven by
- * repository counters, lifecycle (stale-socket rebind, live-daemon
- * refusal, graceful drain, client reconnect across restart), the
- * store-level first-wins race between a daemon publish and a direct
- * writer, and the FAILED-cell record path.
+ * fuzz against a live daemon, store hits answered while a miss waits
+ * for its window or simulates, per-connection reply order, forked
+ * multi-client dedup proven by repository counters, lifecycle
+ * (stale-socket rebind, live-daemon refusal, graceful drain, a
+ * shutdown during a simulating batch, client reconnect across
+ * restart), the store-level first-wins race between a daemon
+ * publish and a direct writer, and the FAILED-cell record path.
  */
 
 #include <gtest/gtest.h>
@@ -117,8 +119,7 @@ class ServerThread
             ADD_FAILURE() << server.error().describe();
             return;
         }
-        server_ = std::make_unique<fd::Server>(
-            std::move(server.value()));
+        server_ = std::move(server.value());
         thread_ = std::thread([this] { server_->run(); });
     }
 
@@ -188,6 +189,53 @@ sendRaw(int fd, const std::vector<uint8_t> &bytes)
             return;
         sent += static_cast<size_t>(n);
     }
+}
+
+/** Ask for Stats until @p reached holds. The daemon answers Stats
+ * while it batches, so this waits on an event, not on a guessed
+ * duration. */
+template <typename Reached>
+void
+awaitStats(fd::Client &client, Reached reached)
+{
+    while (true) {
+        auto stats = client.stats();
+        if (!stats.ok()) {
+            ADD_FAILURE() << stats.error().describe();
+            return;
+        }
+        if (reached(stats.value()))
+            return;
+    }
+}
+
+/** Publish doctored records for @p cells straight to the store, so
+ * a daemon can only answer them from it. */
+std::vector<frc::ResultRecord>
+storeCells(const std::vector<fb::CellSpec> &cells, uint64_t salt)
+{
+    std::vector<frc::ResultRecord> records;
+    for (const auto &cell : cells) {
+        records.push_back(makeRecord(fb::cellFingerprint(cell),
+                                     frc::cellCost(cell),
+                                     salt + records.size()));
+    }
+    fs::create_directories(frc::resultDir());
+    EXPECT_FALSE(frc::publishResults(frc::resultFilePath(), records,
+                                     UINT64_MAX));
+    return records;
+}
+
+/** Make the next simulating batch hang: one fabric worker stops
+ * itself (SIGSTOP) on its first cell, so the batch ends only after
+ * the coordinator kills it at lease expiry and a respawned worker
+ * simulates the cell. */
+void
+hangNextBatch()
+{
+    EnvGuard::set("FVC_WORKERS", "1");
+    EnvGuard::set("FVC_LEASE_MS", "1000");
+    EnvGuard::set("FVC_FAULT_SPEC", "hang_cell=0");
 }
 
 std::vector<fb::CellSpec>
@@ -676,6 +724,220 @@ TEST(DaemonServerTest, TenThousandMalformedFramesNeverKillTheDaemon)
 }
 
 // ---------------------------------------------------------------
+// Hits are answered on arrival; misses batch off the poll thread.
+// ---------------------------------------------------------------
+
+TEST(DaemonServerTest, StoreHitsSkipTheBatchWindow)
+{
+    EnvGuard env;
+    TempDir dir;
+    EnvGuard::set("FVC_RESULT_DIR", dir.file("results"));
+    std::vector<fb::CellSpec> hits = {
+        makeCell(fw::SpecInt::Go099, 9101),
+        makeCell(fw::SpecInt::Gcc126, 9101),
+        makeCell(fw::SpecInt::Li130, 9101),
+    };
+    const auto records = storeCells(hits, 61);
+    hits.push_back(hits.front()); // a repeat is a hit too
+
+    fd::Server::Options options;
+    options.socket_path = dir.file("d.sock");
+    // A window far longer than the test: a hit that joined it
+    // would not return before the drain at the end.
+    options.batch_window_ms = 60 * 1000;
+    ServerThread server(options);
+    ASSERT_TRUE(server.running());
+
+    fd::Client::Options copts;
+    copts.socket_path = options.socket_path;
+    auto writer = fd::Client::connect(copts);
+    ASSERT_TRUE(writer.ok()) << writer.error().describe();
+    auto reader = fd::Client::connect(copts);
+    ASSERT_TRUE(reader.ok()) << reader.error().describe();
+    auto before = reader.value().stats();
+    ASSERT_TRUE(before.ok()) << before.error().describe();
+
+    std::atomic<bool> novel_served{false};
+    std::thread novel([&] {
+        auto result = writer.value().submit(
+            {makeCell(fw::SpecInt::Perl134, 9101)});
+        novel_served = result.ok() && result.value()[0].has_value();
+    });
+    awaitStats(reader.value(), [&](const fd::DaemonStats &now) {
+        return now.submits > before.value().submits;
+    });
+
+    // The novel cell holds the window open; the hits pass it.
+    auto served = reader.value().submit(hits);
+    EXPECT_FALSE(novel_served.load());
+    auto after = reader.value().stats();
+
+    // The drain dispatches the pending novel cell.
+    server.stop();
+    novel.join();
+    EXPECT_TRUE(novel_served.load());
+
+    ASSERT_TRUE(served.ok()) << served.error().describe();
+    ASSERT_EQ(served.value().size(), hits.size());
+    for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_TRUE(served.value()[i].has_value());
+        EXPECT_TRUE(served.value()[i]->identical(
+            records[i % records.size()].stats));
+    }
+    ASSERT_TRUE(after.ok()) << after.error().describe();
+    EXPECT_EQ(after.value().batches, before.value().batches);
+    EXPECT_EQ(after.value().store_hits - before.value().store_hits,
+              hits.size());
+}
+
+TEST(DaemonServerTest, HitsAndPingsPassASimulatingBatch)
+{
+    EnvGuard env;
+    TempDir dir;
+    EnvGuard::set("FVC_RESULT_DIR", dir.file("results"));
+    hangNextBatch();
+    const std::vector<fb::CellSpec> hits = {
+        makeCell(fw::SpecInt::Go099, 9201),
+        makeCell(fw::SpecInt::Gcc126, 9201),
+    };
+    const auto records = storeCells(hits, 71);
+    const auto novel = makeCell(fw::SpecInt::Li130, 9201);
+
+    fd::Server::Options options;
+    options.socket_path = dir.file("d.sock");
+    options.batch_window_ms = 0;
+    ServerThread server(options);
+    ASSERT_TRUE(server.running());
+
+    fd::Client::Options copts;
+    copts.socket_path = options.socket_path;
+    std::vector<fd::Client> clients;
+    for (int c = 0; c < 3; ++c) {
+        auto client = fd::Client::connect(copts);
+        ASSERT_TRUE(client.ok()) << client.error().describe();
+        clients.push_back(std::move(client.value()));
+    }
+    auto &reader = clients[1];
+    auto before = reader.stats();
+    ASSERT_TRUE(before.ok()) << before.error().describe();
+
+    // Client 0's novel cell starts a batch that hangs in the
+    // fabric until the lease expires.
+    std::atomic<bool> batch_replied{false};
+    std::optional<fb::CellStats> simulated;
+    std::thread writer([&] {
+        auto result = clients[0].submit({novel});
+        if (result.ok())
+            simulated = result.value()[0];
+        batch_replied = true;
+    });
+    awaitStats(reader, [&](const fd::DaemonStats &now) {
+        return now.batches > before.value().batches;
+    });
+
+    // A hit and a Ping from a second client come back while it
+    // simulates.
+    auto served = reader.submit(hits);
+    auto pong = reader.ping(92);
+    EXPECT_FALSE(batch_replied.load());
+
+    // A third client asks for the same novel cell mid-batch: it
+    // waits for the next batch, which finds it in the store.
+    std::optional<fb::CellStats> repeated;
+    std::thread third([&] {
+        auto result = clients[2].submit({novel});
+        if (result.ok())
+            repeated = result.value()[0];
+    });
+    awaitStats(reader, [&](const fd::DaemonStats &now) {
+        return now.submits > before.value().submits + 2;
+    });
+    EXPECT_FALSE(batch_replied.load());
+    writer.join();
+    third.join();
+
+    ASSERT_TRUE(served.ok()) << served.error().describe();
+    for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_TRUE(served.value()[i].has_value());
+        EXPECT_TRUE(served.value()[i]->identical(records[i].stats));
+    }
+    ASSERT_TRUE(pong.ok()) << pong.error().describe();
+    EXPECT_EQ(pong.value(), 92u);
+    ASSERT_TRUE(simulated.has_value());
+    ASSERT_TRUE(repeated.has_value());
+    EXPECT_TRUE(repeated->identical(*simulated));
+    EXPECT_TRUE(simulated->identical(fb::simulateCell(novel)));
+    auto after = reader.stats();
+    ASSERT_TRUE(after.ok()) << after.error().describe();
+    EXPECT_EQ(after.value().simulations - before.value().simulations,
+              1u);
+}
+
+TEST(DaemonServerTest, RepliesKeepEachConnectionsSubmissionOrder)
+{
+    EnvGuard env;
+    TempDir dir;
+    EnvGuard::set("FVC_RESULT_DIR", dir.file("results"));
+    const std::vector<fb::CellSpec> hits = {
+        makeCell(fw::SpecInt::Go099, 9301),
+        makeCell(fw::SpecInt::Gcc126, 9301),
+    };
+    storeCells(hits, 81);
+
+    fd::Server::Options options;
+    options.socket_path = dir.file("d.sock");
+    options.batch_window_ms = 60 * 1000;
+    ServerThread server(options);
+    ASSERT_TRUE(server.running());
+    fd::Client::Options copts;
+    copts.socket_path = options.socket_path;
+    auto monitor = fd::Client::connect(copts);
+    ASSERT_TRUE(monitor.ok()) << monitor.error().describe();
+    auto before = monitor.value().stats();
+    ASSERT_TRUE(before.ok()) << before.error().describe();
+
+    // One connection pipelines a one-cell miss, then a two-cell
+    // hit, without waiting for the first reply.
+    const int fd = connectRaw(options.socket_path);
+    ASSERT_GE(fd, 0);
+    auto stream = fu::frameBytes(fd::kDaemonMagic, fd::kKindHello,
+                                 fd::encodeHello({}));
+    for (const auto &cells :
+         {std::vector{makeCell(fw::SpecInt::Li130, 9301)}, hits}) {
+        const auto frame =
+            fu::frameBytes(fd::kDaemonMagic, fd::kKindSubmitCells,
+                           fd::encodeSubmitCells(cells));
+        stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    sendRaw(fd, stream);
+    awaitStats(monitor.value(), [&](const fd::DaemonStats &now) {
+        return now.submits == before.value().submits + 2;
+    });
+    server.stop(); // the drain dispatches the miss
+
+    fd::FrameBuffer replies;
+    uint8_t buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0)
+        replies.feed(buffer, static_cast<size_t>(n));
+    ::close(fd);
+    std::vector<uint32_t> kinds;
+    std::vector<uint64_t> done_counts;
+    while (auto frame = replies.next()) {
+        kinds.push_back(frame->kind);
+        if (frame->kind == fd::kKindBatchDone)
+            done_counts.push_back(
+                fd::decodeBatchDone(frame->payload).value());
+    }
+    EXPECT_EQ(kinds,
+              (std::vector<uint32_t>{
+                  fd::kKindHelloAck, fd::kKindResult,
+                  fd::kKindBatchDone, fd::kKindResult,
+                  fd::kKindResult, fd::kKindBatchDone}));
+    EXPECT_EQ(done_counts, (std::vector<uint64_t>{1, 2}));
+}
+
+// ---------------------------------------------------------------
 // Concurrency: forked clients share one simulation per fingerprint.
 // ---------------------------------------------------------------
 
@@ -857,17 +1119,53 @@ TEST(DaemonLifecycleTest, GracefulShutdownDrainsInFlightBatches)
     // Wait until the daemon holds the submission in its pending
     // batch (the submits counter moves on receipt, long before the
     // window would dispatch).
-    while (true) {
-        auto now = controller.value().stats();
-        ASSERT_TRUE(now.ok()) << now.error().describe();
-        if (now.value().submits > before.value().submits)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    awaitStats(controller.value(), [&](const fd::DaemonStats &now) {
+        return now.submits > before.value().submits;
+    });
 
     // Shutdown must dispatch the pending batch before the ack: the
     // blocked submitter gets its results, not an EOF.
     ASSERT_FALSE(controller.value().shutdownDaemon());
+    submit_thread.join();
+    server.joinAfterShutdown();
+    EXPECT_TRUE(served.load());
+}
+
+TEST(DaemonLifecycleTest, ShutdownDeliversASimulatingBatchFirst)
+{
+    EnvGuard env;
+    TempDir dir;
+    hangNextBatch();
+    fd::Server::Options options;
+    options.socket_path = dir.file("d.sock");
+    options.batch_window_ms = 0;
+    ServerThread server(options);
+    ASSERT_TRUE(server.running());
+
+    fd::Client::Options copts;
+    copts.socket_path = options.socket_path;
+    copts.timeout_ms = 30 * 1000;
+    auto submitter = fd::Client::connect(copts);
+    ASSERT_TRUE(submitter.ok()) << submitter.error().describe();
+    auto controller = fd::Client::connect(copts);
+    ASSERT_TRUE(controller.ok()) << controller.error().describe();
+    auto before = controller.value().stats();
+    ASSERT_TRUE(before.ok()) << before.error().describe();
+
+    std::atomic<bool> served{false};
+    std::thread submit_thread([&] {
+        auto result = submitter.value().submit(
+            {makeCell(fw::SpecInt::Go099, 6101)});
+        served = result.ok() && result.value()[0].has_value();
+    });
+    awaitStats(controller.value(), [&](const fd::DaemonStats &now) {
+        return now.batches > before.value().batches;
+    });
+
+    // The batch is simulating: the ack waits for its results. A
+    // daemon that exited without them would leave the submitter
+    // with nothing to reconnect to.
+    EXPECT_FALSE(controller.value().shutdownDaemon());
     submit_thread.join();
     server.joinAfterShutdown();
     EXPECT_TRUE(served.load());

@@ -127,8 +127,9 @@ TEST(FaultSpecTest, RejectsMalformedSpecs)
           "kinds=valu", "sweep_job=nope", "seed", "=5"}) {
         auto spec = fv::FaultSpec::parse(bad);
         EXPECT_FALSE(spec.ok()) << "accepted: " << bad;
-        if (!spec.ok())
+        if (!spec.ok()) {
             EXPECT_EQ(spec.error().code, fu::ErrorCode::Format);
+        }
     }
 }
 

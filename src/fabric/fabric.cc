@@ -520,7 +520,8 @@ FabricRunner::run()
         harvestOne(proc, records, out);
 
     // Assemble the outcome: a valid record is the truth for its
-    // cell; a cell without one exhausted its budget (FAILED).
+    // cell; a cell without one exhausted its budget, or was never
+    // claimed because every worker died first (FAILED).
     for (size_t i = 0; i < n; ++i) {
         auto it = records.find(fps[i]);
         if (it != records.end()) {
@@ -533,14 +534,16 @@ FabricRunner::run()
                 ++out.simulated;
             continue;
         }
-        SlotCtl ctl = queue.load(i);
+        const unsigned attempts = queue.load(i).attempts;
+        const std::string why =
+            attempts == 0
+                ? "never claimed (every worker exited before "
+                  "claiming it)"
+                : "retry budget exhausted (" + std::to_string(attempts) +
+                      " attempts; worker killed, hung, or its result "
+                      "was rejected)";
         out.failures.push_back(
-            {i,
-             cells[i].describe() + ": retry budget exhausted (" +
-                 std::to_string(ctl.attempts) +
-                 " attempts; worker killed, hung, or its result "
-                 "was rejected)",
-             std::max(1u, static_cast<unsigned>(ctl.attempts))});
+            {i, cells[i].describe() + ": " + why, attempts});
     }
 
     // Retire this run's transient files.

@@ -100,7 +100,8 @@ struct JobFailure
     /** what() of the job's exception, or the fabric's reason. */
     std::string message;
     /** Attempts made: always 1 on the thread backend; the fabric's
-     * attempt count for a cell that exhausted FVC_RETRIES. */
+     * attempt count for a cell that exhausted FVC_RETRIES, or 0 for
+     * a cell no worker claimed. */
     unsigned attempts = 1;
 
     /** "#3 (2 attempts): out of memory" */

@@ -40,7 +40,7 @@ std::string
 tempPath(const char *name)
 {
     // Per-process names: these tests are built into both fvc_tests
-    // and verify_test_ubsan, and a parallel ctest run executes the
+    // and verify_test_asan, and a parallel ctest run executes the
     // two binaries concurrently — fixed paths would race.
     return std::string(::testing::TempDir()) +
            std::to_string(::getpid()) + "_" + name;

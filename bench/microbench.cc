@@ -107,8 +107,10 @@ BM_FvcProbe(benchmark::State &state)
         cfg, core::FrequentValueEncoding(
                  {0, 0xffffffffu, 1, 2, 4, 8, 10}, 3));
     std::vector<trace::Word> line = {0, 1, 2, 4, 8, 10, 0, 1};
+    std::vector<core::Code> codes(line.size());
+    fvc.encoding().encodeLine(line, codes);
     for (uint32_t i = 0; i < 512; ++i)
-        fvc.insertLine(i * 32, line, false);
+        fvc.insertLine(i * 32, codes, false);
     uint32_t addr = 0;
     for (auto _ : state) {
         auto v = fvc.readWord(addr);

@@ -1,5 +1,7 @@
 #include "cache/set_assoc_cache.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace fvc::cache {
@@ -8,9 +10,12 @@ SetAssocCache::SetAssocCache(const CacheConfig &config, uint64_t seed)
     : config_(config), rng_(seed)
 {
     config_.validate();
+    words_per_line_ = config_.wordsPerLine();
     lines_.resize(config_.lines());
-    for (auto &line : lines_)
-        line.data.assign(config_.wordsPerLine(), 0);
+    words_.assign(static_cast<size_t>(config_.lines()) *
+                      words_per_line_,
+                  0);
+    victim_words_.assign(words_per_line_, 0);
     offset_bits_ = config_.offsetBits();
     tag_shift_ = offset_bits_ + config_.indexBits();
     set_mask_ = config_.sets() - 1;
@@ -84,29 +89,37 @@ SetAssocCache::victimWay(uint32_t set)
     fvc_panic("unreachable replacement policy");
 }
 
-std::optional<EvictedLine>
-SetAssocCache::fill(Addr addr, std::vector<Word> data, bool dirty)
+SetAssocCache::Claim
+SetAssocCache::claim(Addr addr, bool dirty)
 {
-    fvc_assert(data.size() == config_.wordsPerLine(),
-               "fill data arity mismatch");
     fvc_assert(probe(addr) == nullptr,
                "fill of already-resident line");
     uint32_t set = config_.setIndex(addr);
-    uint32_t way = victimWay(set);
-    CacheLine &line = lineAt(set, way);
+    CacheLine &line = lineAt(set, victimWay(set));
 
-    std::optional<EvictedLine> victim;
+    Claim out{line, std::nullopt};
     if (line.valid) {
-        // The slot's data is about to be replaced: move, not copy.
-        victim = EvictedLine{reconstructBase(line, set), line.dirty,
-                             std::move(line.data)};
+        // The way's words are about to be overwritten: save them.
+        std::span<const Word> old = words(line);
+        std::copy(old.begin(), old.end(), victim_words_.begin());
+        out.victim = EvictedLine{reconstructBase(line, set),
+                                 line.dirty, victim_words_};
     }
     line.tag = config_.tag(addr);
     line.valid = true;
     line.dirty = dirty;
     line.stamp = ++clock_;
-    line.data = std::move(data);
-    return victim;
+    return out;
+}
+
+std::optional<EvictedLine>
+SetAssocCache::fill(Addr addr, std::span<const Word> data, bool dirty)
+{
+    fvc_assert(data.size() == words_per_line_,
+               "fill data arity mismatch");
+    Claim claimed = claim(addr, dirty);
+    std::copy(data.begin(), data.end(), words(claimed.line).begin());
+    return claimed.victim;
 }
 
 std::optional<EvictedLine>
@@ -115,7 +128,8 @@ SetAssocCache::invalidate(Addr addr)
     CacheLine *line = probe(addr);
     if (!line)
         return std::nullopt;
-    EvictedLine out{config_.lineBase(addr), line->dirty, line->data};
+    EvictedLine out{config_.lineBase(addr), line->dirty,
+                    words(*line)};
     line->valid = false;
     line->dirty = false;
     return out;
@@ -131,7 +145,7 @@ SetAssocCache::flush()
             if (!line.valid)
                 continue;
             out.push_back({reconstructBase(line, set), line.dirty,
-                           line.data});
+                           words(line)});
             line.valid = false;
             line.dirty = false;
         }
@@ -144,7 +158,7 @@ SetAssocCache::readWord(Addr addr)
 {
     CacheLine *line = probe(addr);
     fvc_assert(line, "readWord on non-resident line");
-    return line->data[config_.wordOffset(addr)];
+    return words(*line)[config_.wordOffset(addr)];
 }
 
 void
@@ -152,7 +166,7 @@ SetAssocCache::writeWord(Addr addr, Word value)
 {
     CacheLine *line = probe(addr);
     fvc_assert(line, "writeWord on non-resident line");
-    line->data[config_.wordOffset(addr)] = value;
+    words(*line)[config_.wordOffset(addr)] = value;
     line->dirty = true;
 }
 
@@ -179,13 +193,14 @@ SetAssocCache::access(trace::Op op, Addr addr, Word value,
 
     CacheLine *line = probeTouch(addr);
     if (line) {
+        Word &word = words(*line)[config_.wordOffset(addr)];
         if (op == trace::Op::Load) {
             ++stats_.read_hits;
             if (loaded)
-                *loaded = line->data[config_.wordOffset(addr)];
+                *loaded = word;
         } else {
             ++stats_.write_hits;
-            line->data[config_.wordOffset(addr)] = value;
+            word = value;
             if (write_through) {
                 // The store goes straight through to memory; the
                 // cached copy stays clean.
@@ -217,27 +232,29 @@ SetAssocCache::access(trace::Op op, Addr addr, Word value,
     else
         ++stats_.write_misses;
 
+    // The line comes straight from memory into its way; the
+    // displaced line is saved first, then written back.
+    Claim claimed = claim(addr, false);
+    std::span<Word> line_words = words(claimed.line);
     Addr base = config_.lineBase(addr);
-    std::vector<Word> data(config_.wordsPerLine());
-    for (uint32_t w = 0; w < config_.wordsPerLine(); ++w)
-        data[w] = memory.read(base + w * trace::kWordBytes);
+    for (uint32_t w = 0; w < words_per_line_; ++w)
+        line_words[w] = memory.read(base + w * trace::kWordBytes);
     ++stats_.fills;
     stats_.fetch_bytes += config_.line_bytes;
 
-    auto victim = fill(addr, std::move(data), false);
-    if (victim && victim->dirty) {
+    if (claimed.victim && claimed.victim->dirty) {
+        const EvictedLine &victim = *claimed.victim;
         ++stats_.writebacks;
         stats_.writeback_bytes += config_.line_bytes;
-        for (uint32_t w = 0; w < config_.wordsPerLine(); ++w) {
-            memory.write(victim->base + w * trace::kWordBytes,
-                         victim->data[w]);
+        for (uint32_t w = 0; w < words_per_line_; ++w) {
+            memory.write(victim.base + w * trace::kWordBytes,
+                         victim.data[w]);
         }
     }
 
     if (op == trace::Op::Store) {
-        CacheLine *filled = probe(addr);
-        filled->data[config_.wordOffset(addr)] = value;
-        filled->dirty = true;
+        line_words[config_.wordOffset(addr)] = value;
+        claimed.line.dirty = true;
     }
     return false;
 }

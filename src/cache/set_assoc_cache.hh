@@ -12,6 +12,7 @@
 #define FVC_CACHE_SET_ASSOC_CACHE_HH_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/config.hh"
@@ -21,7 +22,8 @@
 
 namespace fvc::cache {
 
-/** A cache line with data words. */
+/** A cache line's state; its words live in the cache's word array
+ * (SetAssocCache::words). */
 struct CacheLine
 {
     uint64_t tag = 0;
@@ -29,15 +31,18 @@ struct CacheLine
     bool dirty = false;
     /** Monotonic stamp for LRU/FIFO ordering. */
     uint64_t stamp = 0;
-    std::vector<Word> data;
 };
 
-/** A line evicted from the cache, with its reconstructed address. */
+/**
+ * A line evicted from a cache, with its reconstructed address. The
+ * words view storage the evicting structure owns; they stay valid
+ * until that structure's next fill or insert.
+ */
 struct EvictedLine
 {
     Addr base;
     bool dirty;
-    std::vector<Word> data;
+    std::span<const Word> data;
 };
 
 /**
@@ -47,6 +52,10 @@ struct EvictedLine
  * memory. probe/fill/evict primitives let systems compose it with
  * victim caches and FVCs; access() is a convenience for standalone
  * use against a backing FunctionalMemory.
+ *
+ * Every line's words sit in one flat array (line i at
+ * i * wordsPerLine()), and a displaced line's words are saved in a
+ * buffer the cache keeps, so no access allocates.
  */
 class SetAssocCache
 {
@@ -63,23 +72,33 @@ class SetAssocCache
     /** probe() + LRU touch. */
     CacheLine *probeTouch(Addr addr);
 
+    /** The words of @p line, which must be a line of this cache. */
+    std::span<Word> words(const CacheLine &line)
+    {
+        size_t i = static_cast<size_t>(&line - lines_.data());
+        return {words_.data() + i * words_per_line_, words_per_line_};
+    }
+
     /**
      * Install a line for @p addr with the given words.
      *
      * @param addr any address within the line
-     * @param data wordsPerLine() values
+     * @param data wordsPerLine() values (copied)
      * @param dirty initial dirty state
-     * @return the victim line if a valid line was displaced
+     * @return the victim line if a valid line was displaced; its
+     *         words are valid until the next fill
      */
     std::optional<EvictedLine> fill(Addr addr,
-                                    std::vector<Word> data,
+                                    std::span<const Word> data,
                                     bool dirty);
 
     /** Invalidate the line containing @p addr if present.
-     * @return the line's contents (for writeback decisions) */
+     * @return the line's contents (for writeback decisions); the
+     *         words are valid until the next fill */
     std::optional<EvictedLine> invalidate(Addr addr);
 
-    /** Invalidate everything, returning dirty lines. */
+    /** Invalidate everything, returning the lines that were valid
+     * (their words are valid until the next fill). */
     std::vector<EvictedLine> flush();
 
     /** Read the word at @p addr; line must be resident. */
@@ -110,6 +129,12 @@ class SetAssocCache
   private:
     CacheConfig config_;
     std::vector<CacheLine> lines_;
+    /** Every line's words: line i at i * words_per_line_. */
+    std::vector<Word> words_;
+    /** The last displaced line's words, saved before its way is
+     * reused. */
+    std::vector<Word> victim_words_;
+    uint32_t words_per_line_ = 0;
     uint64_t clock_ = 0;
     util::Rng rng_;
     CacheStats stats_;
@@ -121,6 +146,17 @@ class SetAssocCache
     CacheLine &lineAt(uint32_t set, uint32_t way);
     uint32_t victimWay(uint32_t set);
     Addr reconstructBase(const CacheLine &line, uint32_t set) const;
+
+    /** A way claimed for a new line: the caller writes its words. */
+    struct Claim
+    {
+        CacheLine &line;
+        /** The valid line the way held, if any. */
+        std::optional<EvictedLine> victim;
+    };
+    /** Pick the way for @p addr's (non-resident) line, save the line
+     * it displaces in victim_words_, and install the new tag. */
+    Claim claim(Addr addr, bool dirty);
 
     friend class CacheInspector;
 };

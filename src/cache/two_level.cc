@@ -1,12 +1,15 @@
 #include "cache/two_level.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace fvc::cache {
 
 TwoLevelSystem::TwoLevelSystem(const CacheConfig &l1_config,
                                const CacheConfig &l2_config)
-    : l1_(l1_config), l2_(l2_config)
+    : l1_(l1_config), l2_(l2_config),
+      fetched_(l2_config.wordsPerLine())
 {
     fvc_assert(l1_config.line_bytes == l2_config.line_bytes,
                "TwoLevelSystem requires matching line sizes");
@@ -33,7 +36,8 @@ TwoLevelSystem::handleL1Eviction(const EvictedLine &line)
     if (!line.dirty)
         return; // L2 (or memory) already has a current copy
     if (CacheLine *resident = l2_.probeTouch(line.base)) {
-        resident->data = line.data;
+        std::copy(line.data.begin(), line.data.end(),
+                  l2_.words(*resident).begin());
         resident->dirty = true;
         return;
     }
@@ -43,26 +47,25 @@ TwoLevelSystem::handleL1Eviction(const EvictedLine &line)
         handleL2Eviction(*displaced);
 }
 
-std::vector<trace::Word>
+std::span<const Word>
 TwoLevelSystem::lineViaL2(Addr addr, bool count_l2)
 {
     Addr base = l2_.config().lineBase(addr);
     if (CacheLine *line = l2_.probeTouch(addr)) {
         if (count_l2)
             ++l2_stats_.read_hits;
-        return line->data;
+        return l2_.words(*line);
     }
     if (count_l2)
         ++l2_stats_.read_misses;
-    std::vector<Word> data(l2_.config().wordsPerLine());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = memory_.read(base + w * trace::kWordBytes);
+    for (uint32_t w = 0; w < fetched_.size(); ++w)
+        fetched_[w] = memory_.read(base + w * trace::kWordBytes);
     ++stats_.fills;
     stats_.fetch_bytes += l2_.config().line_bytes;
-    auto displaced = l2_.fill(addr, data, false);
+    auto displaced = l2_.fill(addr, fetched_, false);
     if (displaced)
         handleL2Eviction(*displaced);
-    return data;
+    return fetched_;
 }
 
 AccessResult
@@ -77,10 +80,10 @@ TwoLevelSystem::access(const trace::MemRecord &rec)
         result.where = HitWhere::MainCache;
         if (rec.isLoad()) {
             ++stats_.read_hits;
-            result.loaded = line->data[off];
+            result.loaded = l1_.words(*line)[off];
         } else {
             ++stats_.write_hits;
-            line->data[off] = rec.value;
+            l1_.words(*line)[off] = rec.value;
             line->dirty = true;
         }
         return result;
@@ -91,16 +94,15 @@ TwoLevelSystem::access(const trace::MemRecord &rec)
     else
         ++stats_.write_misses;
 
-    std::vector<Word> data = lineViaL2(addr, true);
-    auto victim = l1_.fill(addr, std::move(data), false);
+    auto victim = l1_.fill(addr, lineViaL2(addr, true), false);
     if (victim)
         handleL1Eviction(*victim);
 
     CacheLine *line = l1_.probe(addr);
     if (rec.isLoad()) {
-        result.loaded = line->data[off];
+        result.loaded = l1_.words(*line)[off];
     } else {
-        line->data[off] = rec.value;
+        l1_.words(*line)[off] = rec.value;
         line->dirty = true;
     }
     return result;

@@ -17,6 +17,9 @@
 #ifndef FVC_CACHE_TWO_LEVEL_HH_
 #define FVC_CACHE_TWO_LEVEL_HH_
 
+#include <span>
+#include <vector>
+
 #include "cache/cache_system.hh"
 
 namespace fvc::cache {
@@ -55,9 +58,12 @@ class TwoLevelSystem final : public CacheSystem
     /** L1-centric stats; fetch/writeback = off-chip traffic. */
     CacheStats stats_;
     CacheStats l2_stats_;
+    /** The line an L2 miss fetches from memory. */
+    std::vector<Word> fetched_;
 
-    /** Get the line for @p addr into L2 (from memory if needed). */
-    std::vector<Word> lineViaL2(Addr addr, bool count_l2);
+    /** Get the line for @p addr into L2 (from memory if needed);
+     * returns its words, valid until the next L2 fill. */
+    std::span<const Word> lineViaL2(Addr addr, bool count_l2);
     /** Handle an L1 victim: merge into L2. */
     void handleL1Eviction(const EvictedLine &line);
     /** Handle an L2 victim: write back to memory if dirty. */

@@ -1,26 +1,33 @@
 #include "cache/victim_cache.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace fvc::cache {
 
 VictimCache::VictimCache(uint32_t entries, uint32_t line_bytes)
-    : entries_(entries), line_bytes_(line_bytes)
+    : entries_(entries), line_bytes_(line_bytes),
+      words_per_line_(line_bytes / trace::kWordBytes)
 {
     fvc_assert(entries > 0, "victim cache needs entries");
     fvc_assert(line_bytes >= trace::kWordBytes,
                "bad victim line size");
+    slots_.resize(entries);
+    words_.assign(static_cast<size_t>(entries) * words_per_line_, 0);
+    overflow_words_.assign(words_per_line_, 0);
 }
 
 std::optional<EvictedLine>
 VictimCache::extract(Addr line_base)
 {
-    for (auto it = lines_.begin(); it != lines_.end(); ++it) {
-        if (it->base == line_base) {
-            EvictedLine out = std::move(*it);
-            lines_.erase(it);
-            return out;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        Entry &e = slots_[i];
+        if (e.valid && e.base == line_base) {
+            e.valid = false;
+            --valid_;
+            return EvictedLine{e.base, e.dirty, wordsOf(i)};
         }
     }
     return std::nullopt;
@@ -29,8 +36,8 @@ VictimCache::extract(Addr line_base)
 bool
 VictimCache::contains(Addr line_base) const
 {
-    for (const auto &line : lines_) {
-        if (line.base == line_base)
+    for (const Entry &e : slots_) {
+        if (e.valid && e.base == line_base)
             return true;
     }
     return false;
@@ -41,19 +48,46 @@ VictimCache::insert(const EvictedLine &line)
 {
     fvc_assert(!contains(line.base),
                "duplicate insert into victim cache");
-    lines_.push_front(line);
-    if (lines_.size() <= entries_)
-        return std::nullopt;
-    EvictedLine out = std::move(lines_.back());
-    lines_.pop_back();
+    fvc_assert(line.data.size() == words_per_line_,
+               "victim line arity mismatch");
+    // A free entry if there is one, else the least recently
+    // inserted line makes room.
+    size_t slot = 0;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        if (!slots_[i].valid) {
+            slot = i;
+            break;
+        }
+        if (slots_[i].stamp < slots_[slot].stamp)
+            slot = i;
+    }
+    Entry &e = slots_[slot];
+    std::span<Word> words = wordsOf(slot);
+
+    std::optional<EvictedLine> out;
+    if (e.valid) {
+        std::copy(words.begin(), words.end(), overflow_words_.begin());
+        out = EvictedLine{e.base, e.dirty, overflow_words_};
+    } else {
+        ++valid_;
+    }
+    e = Entry{line.base, true, line.dirty, ++clock_};
+    std::copy(line.data.begin(), line.data.end(), words.begin());
     return out;
 }
 
 std::vector<EvictedLine>
 VictimCache::flush()
 {
-    std::vector<EvictedLine> out(lines_.begin(), lines_.end());
-    lines_.clear();
+    std::vector<EvictedLine> out;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        Entry &e = slots_[i];
+        if (!e.valid)
+            continue;
+        out.push_back({e.base, e.dirty, wordsOf(i)});
+        e.valid = false;
+    }
+    valid_ = 0;
     return out;
 }
 
@@ -71,7 +105,8 @@ VictimCache::storageBits() const
 DmcVictimSystem::DmcVictimSystem(const CacheConfig &dmc_config,
                                  uint32_t victim_entries)
     : dmc_(dmc_config),
-      victim_(victim_entries, dmc_config.line_bytes)
+      victim_(victim_entries, dmc_config.line_bytes),
+      fetched_(dmc_config.wordsPerLine())
 {
 }
 
@@ -89,10 +124,10 @@ DmcVictimSystem::writebackLine(const EvictedLine &line)
 }
 
 void
-DmcVictimSystem::installLine(Addr addr, std::vector<Word> data,
+DmcVictimSystem::installLine(Addr addr, std::span<const Word> data,
                              bool dirty)
 {
-    auto displaced = dmc_.fill(addr, std::move(data), dirty);
+    auto displaced = dmc_.fill(addr, data, dirty);
     if (!displaced)
         return;
     // The displaced DMC line moves into the victim buffer; the
@@ -109,14 +144,14 @@ DmcVictimSystem::access(const trace::MemRecord &rec)
     AccessResult result;
     Addr addr = rec.addr;
 
+    const uint32_t off = dmc_.config().wordOffset(addr);
     if (CacheLine *line = dmc_.probeTouch(addr)) {
         if (rec.isLoad()) {
             ++stats_.read_hits;
-            result.loaded =
-                line->data[dmc_.config().wordOffset(addr)];
+            result.loaded = dmc_.words(*line)[off];
         } else {
             ++stats_.write_hits;
-            line->data[dmc_.config().wordOffset(addr)] = rec.value;
+            dmc_.words(*line)[off] = rec.value;
             line->dirty = true;
         }
         result.where = HitWhere::MainCache;
@@ -131,13 +166,12 @@ DmcVictimSystem::access(const trace::MemRecord &rec)
             ++stats_.read_hits;
         else
             ++stats_.write_hits;
-        installLine(addr, std::move(saved->data), saved->dirty);
+        installLine(addr, saved->data, saved->dirty);
         CacheLine *line = dmc_.probe(addr);
         if (rec.isLoad()) {
-            result.loaded =
-                line->data[dmc_.config().wordOffset(addr)];
+            result.loaded = dmc_.words(*line)[off];
         } else {
-            line->data[dmc_.config().wordOffset(addr)] = rec.value;
+            dmc_.words(*line)[off] = rec.value;
             line->dirty = true;
         }
         result.where = HitWhere::AuxCache;
@@ -152,16 +186,15 @@ DmcVictimSystem::access(const trace::MemRecord &rec)
     ++stats_.fills;
     stats_.fetch_bytes += dmc_.config().line_bytes;
 
-    std::vector<Word> data(dmc_.config().wordsPerLine());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = memory_.read(base + w * trace::kWordBytes);
-    installLine(addr, std::move(data), false);
+    for (uint32_t w = 0; w < fetched_.size(); ++w)
+        fetched_[w] = memory_.read(base + w * trace::kWordBytes);
+    installLine(addr, fetched_, false);
 
     CacheLine *line = dmc_.probe(addr);
     if (rec.isLoad()) {
-        result.loaded = line->data[dmc_.config().wordOffset(addr)];
+        result.loaded = dmc_.words(*line)[off];
     } else {
-        line->data[dmc_.config().wordOffset(addr)] = rec.value;
+        dmc_.words(*line)[off] = rec.value;
         line->dirty = true;
     }
     result.where = HitWhere::Miss;

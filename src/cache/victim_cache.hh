@@ -9,8 +9,8 @@
 #ifndef FVC_CACHE_VICTIM_CACHE_HH_
 #define FVC_CACHE_VICTIM_CACHE_HH_
 
-#include <list>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/cache_system.hh"
@@ -20,7 +20,10 @@
 namespace fvc::cache {
 
 /**
- * Fully-associative LRU buffer of evicted lines.
+ * Fully-associative LRU buffer of evicted lines: a fixed array of
+ * entries whose words sit in one flat array, like SetAssocCache's.
+ * Returned lines view that storage; they stay valid until the next
+ * insert.
  */
 class VictimCache
 {
@@ -37,7 +40,8 @@ class VictimCache
     /** True iff the line is present (no LRU update). */
     bool contains(Addr line_base) const;
 
-    /** Insert a line; returns a displaced line if full. */
+    /** Insert a copy of a line; if the buffer was full, returns the
+     * least recently inserted line, which it displaced. */
     std::optional<EvictedLine> insert(const EvictedLine &line);
 
     /** Remove everything, returning the contents. */
@@ -45,19 +49,37 @@ class VictimCache
 
     uint32_t entries() const { return entries_; }
     uint32_t lineBytes() const { return line_bytes_; }
-    uint32_t validLines() const
-    {
-        return static_cast<uint32_t>(lines_.size());
-    }
+    uint32_t validLines() const { return valid_; }
 
     /** Total storage cost in bits (tags + state + data). */
     uint64_t storageBits() const;
 
   private:
+    struct Entry
+    {
+        Addr base = 0;
+        bool valid = false;
+        bool dirty = false;
+        /** Insertion stamp: the smallest valid one is the LRU. */
+        uint64_t stamp = 0;
+    };
+
     uint32_t entries_;
     uint32_t line_bytes_;
-    /** Front = most recently used. */
-    std::list<EvictedLine> lines_;
+    uint32_t words_per_line_;
+    std::vector<Entry> slots_;
+    /** Every entry's words: entry i at i * words_per_line_. */
+    std::vector<Word> words_;
+    /** The last displaced line's words. */
+    std::vector<Word> overflow_words_;
+    uint32_t valid_ = 0;
+    uint64_t clock_ = 0;
+
+    std::span<Word> wordsOf(size_t slot)
+    {
+        return {words_.data() + slot * words_per_line_,
+                words_per_line_};
+    }
 };
 
 /** A DMC backed by a victim cache (Figure 15's "VC" system). */
@@ -89,8 +111,12 @@ class DmcVictimSystem final : public CacheSystem
     CacheStats stats_;
     uint64_t victim_hits_ = 0;
 
+    /** The line a full miss fetches from memory. */
+    std::vector<Word> fetched_;
+
     void writebackLine(const EvictedLine &line);
-    void installLine(Addr addr, std::vector<Word> data, bool dirty);
+    void installLine(Addr addr, std::span<const Word> data,
+                     bool dirty);
 };
 
 } // namespace fvc::cache

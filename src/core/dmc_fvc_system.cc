@@ -10,7 +10,9 @@ DmcFvcSystem::DmcFvcSystem(const cache::CacheConfig &dmc_config,
                            DmcFvcPolicy policy)
     : dmc_(dmc_config), fvc_(fvc_config, std::move(encoding)),
       policy_(policy),
-      sample_countdown_(policy.occupancy_sample_interval)
+      sample_countdown_(policy.occupancy_sample_interval),
+      fetched_(dmc_config.wordsPerLine()),
+      evicted_codes_(dmc_config.wordsPerLine())
 {
     fvc_assert(dmc_config.line_bytes == fvc_config.line_bytes,
                "FVC line size must match the main cache (the "
@@ -24,11 +26,11 @@ DmcFvcSystem::writebackFvcEntry(const FvcEvicted &entry)
         return;
     ++fvc_stats_.fvc_writebacks;
     uint32_t written = 0;
-    for (uint32_t w = 0; w < entry.words.size(); ++w) {
-        if (!entry.words[w])
+    for (uint32_t w = 0; w < entry.codes.size(); ++w) {
+        auto value = fvc_.encoding().decode(entry.codes[w]);
+        if (!value)
             continue; // non-frequent: memory already current
-        memory_.write(entry.base + w * trace::kWordBytes,
-                      *entry.words[w]);
+        memory_.write(entry.base + w * trace::kWordBytes, *value);
         ++written;
     }
     ++stats_.writebacks;
@@ -52,16 +54,18 @@ void
 DmcFvcSystem::handleDmcEviction(const cache::EvictedLine &line)
 {
     // Rule E: the victim is written back to memory AND its frequent
-    // content is remembered in the FVC.
+    // content is remembered in the FVC. The line is encoded once.
     writebackDmcLine(line);
-    if (policy_.skip_barren_insertions &&
-        fvc_.frequentWordCount(line.data) == 0) {
+    uint32_t frequent =
+        fvc_.encoding().encodeLine(line.data, evicted_codes_);
+    if (policy_.skip_barren_insertions && frequent == 0) {
         ++fvc_stats_.insertions_skipped;
         return;
     }
     ++fvc_stats_.insertions;
     // Clean insertion: memory was just made current.
-    auto displaced = fvc_.insertLine(line.base, line.data, false);
+    auto displaced =
+        fvc_.insertLine(line.base, evicted_codes_, false);
     if (displaced)
         writebackFvcEntry(*displaced);
 }
@@ -70,9 +74,8 @@ void
 DmcFvcSystem::fetchInstall(Addr addr)
 {
     Addr base = dmc_.config().lineBase(addr);
-    std::vector<Word> data(dmc_.config().wordsPerLine());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = memory_.read(base + w * trace::kWordBytes);
+    for (uint32_t w = 0; w < fetched_.size(); ++w)
+        fetched_[w] = memory_.read(base + w * trace::kWordBytes);
 
     // If the FVC holds this line, its frequent-coded words are the
     // latest values: overlay them, then retire the FVC entry
@@ -80,9 +83,9 @@ DmcFvcSystem::fetchInstall(Addr addr)
     // changed anything memory does not yet have.
     bool dirty = false;
     if (auto entry = fvc_.invalidate(base)) {
-        for (uint32_t w = 0; w < data.size(); ++w) {
-            if (entry->words[w]) {
-                data[w] = *entry->words[w];
+        for (uint32_t w = 0; w < fetched_.size(); ++w) {
+            if (auto value = fvc_.encoding().decode(entry->codes[w])) {
+                fetched_[w] = *value;
                 if (entry->dirty)
                     dirty = true;
             }
@@ -91,7 +94,7 @@ DmcFvcSystem::fetchInstall(Addr addr)
 
     ++stats_.fills;
     stats_.fetch_bytes += dmc_.config().line_bytes;
-    auto victim = dmc_.fill(addr, std::move(data), dirty);
+    auto victim = dmc_.fill(addr, fetched_, dirty);
     if (victim)
         handleDmcEviction(*victim);
 }
@@ -116,13 +119,13 @@ DmcFvcSystem::access(const trace::MemRecord &rec)
     // Both structures are probed in parallel; at most one can hit.
     if (cache::CacheLine *line = dmc_.probeTouch(addr)) {
         result.where = cache::HitWhere::MainCache;
-        uint32_t off = dmc_.config().wordOffset(addr);
+        Word &word = dmc_.words(*line)[dmc_.config().wordOffset(addr)];
         if (rec.isLoad()) {
             ++stats_.read_hits;
-            result.loaded = line->data[off];
+            result.loaded = word;
         } else {
             ++stats_.write_hits;
-            line->data[off] = rec.value;
+            word = rec.value;
             line->dirty = true;
         }
         return result;

@@ -114,6 +114,10 @@ class DmcFvcSystem final : public cache::CacheSystem
     /** Accesses until the next occupancy sample (0 = disabled);
      * avoids a per-access modulo. */
     uint64_t sample_countdown_ = 0;
+    /** The line a miss fetches, assembled before it enters the DMC. */
+    std::vector<Word> fetched_;
+    /** An evicted DMC line's codes, encoded once for the FVC. */
+    std::vector<Code> evicted_codes_;
 
     /** Write a dirty FVC entry's frequent words back to memory. */
     void writebackFvcEntry(const FvcEvicted &entry);

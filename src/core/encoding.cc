@@ -38,63 +38,18 @@ FrequentValueEncoding::FrequentValueEncoding(
     }
 }
 
-std::optional<Word>
-FrequentValueEncoding::decode(Code code) const
+uint32_t
+FrequentValueEncoding::encodeLine(std::span<const Word> words,
+                                  std::span<Code> codes) const
 {
-    if (code == non_frequent_)
-        return std::nullopt;
-    fvc_assert(code < values_.size(), "decode of unassigned code ",
-               unsigned(code));
-    return values_[code];
-}
-
-CodeArray::CodeArray(uint32_t count, unsigned code_bits)
-    : count_(count), code_bits_(code_bits)
-{
-    fvc_assert(code_bits >= 1 && code_bits <= 8, "bad code width");
-    storage_.assign(
-        (static_cast<size_t>(count) * code_bits + 7) / 8, 0);
-}
-
-Code
-CodeArray::get(uint32_t i) const
-{
-    fvc_assert(i < count_, "code index out of range");
-    size_t bit = static_cast<size_t>(i) * code_bits_;
-    size_t byte = bit / 8;
-    unsigned shift = bit % 8;
-    uint16_t window = storage_[byte];
-    if (byte + 1 < storage_.size())
-        window |= static_cast<uint16_t>(storage_[byte + 1]) << 8;
-    return static_cast<Code>((window >> shift) &
-                             util::mask(code_bits_));
-}
-
-void
-CodeArray::set(uint32_t i, Code code)
-{
-    fvc_assert(i < count_, "code index out of range");
-    fvc_assert(code <= util::mask(code_bits_), "code too wide");
-    size_t bit = static_cast<size_t>(i) * code_bits_;
-    size_t byte = bit / 8;
-    unsigned shift = bit % 8;
-    uint16_t window = storage_[byte];
-    if (byte + 1 < storage_.size())
-        window |= static_cast<uint16_t>(storage_[byte + 1]) << 8;
-    uint16_t m = static_cast<uint16_t>(util::mask(code_bits_))
-                 << shift;
-    window = static_cast<uint16_t>(
-        (window & ~m) | (static_cast<uint16_t>(code) << shift));
-    storage_[byte] = static_cast<uint8_t>(window);
-    if (byte + 1 < storage_.size())
-        storage_[byte + 1] = static_cast<uint8_t>(window >> 8);
-}
-
-void
-CodeArray::fillWith(Code code)
-{
-    for (uint32_t i = 0; i < count_; ++i)
-        set(i, code);
+    fvc_assert(words.size() == codes.size(),
+               "encodeLine arity mismatch");
+    uint32_t frequent = 0;
+    for (size_t w = 0; w < words.size(); ++w) {
+        codes[w] = lookup(words[w]);
+        frequent += codes[w] != non_frequent_;
+    }
+    return frequent;
 }
 
 } // namespace fvc::core

@@ -11,15 +11,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/record.hh"
+#include "util/logging.hh"
 
 namespace fvc::core {
 
 using trace::Word;
 
-/** A packed b-bit code. */
+/** A b-bit code, held in one byte. */
 using Code = uint8_t;
 
 /**
@@ -66,7 +68,24 @@ class FrequentValueEncoding
      * Value for @p code; nullopt for the non-frequent code.
      * Calls fvc_panic for codes beyond the encoded set.
      */
-    std::optional<Word> decode(Code code) const;
+    std::optional<Word>
+    decode(Code code) const
+    {
+        if (code == non_frequent_)
+            return std::nullopt;
+        fvc_assert(code < values_.size(),
+                   "decode of unassigned code ", unsigned(code));
+        return values_[code];
+    }
+
+    /**
+     * Encode a line: @p codes[i] receives the code of @p words[i]
+     * (the spans have equal length).
+     *
+     * @return how many of the words are frequent
+     */
+    uint32_t encodeLine(std::span<const Word> words,
+                        std::span<Code> codes) const;
 
     /** The encoded values in code order. */
     const std::vector<Word> &values() const { return values_; }
@@ -102,37 +121,6 @@ class FrequentValueEncoding
     /** The same values ascending, with their codes alongside. */
     std::vector<Word> sorted_values_;
     std::vector<Code> sorted_codes_;
-};
-
-/**
- * A packed array of n codes of b bits each — the FVC's "encoded
- * data cache field" (one code per word of the corresponding DMC
- * line). Storage rounds up to whole bytes.
- */
-class CodeArray
-{
-  public:
-    CodeArray(uint32_t count, unsigned code_bits);
-
-    Code get(uint32_t i) const;
-    void set(uint32_t i, Code code);
-
-    /** Set every code to @p code. */
-    void fillWith(Code code);
-
-    uint32_t count() const { return count_; }
-    unsigned codeBits() const { return code_bits_; }
-
-    /** Storage used, in bits (count * code_bits). */
-    uint64_t bits() const
-    {
-        return static_cast<uint64_t>(count_) * code_bits_;
-    }
-
-  private:
-    uint32_t count_;
-    unsigned code_bits_;
-    std::vector<uint8_t> storage_;
 };
 
 } // namespace fvc::core

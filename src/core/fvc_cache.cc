@@ -1,5 +1,7 @@
 #include "core/fvc_cache.hh"
 
+#include <algorithm>
+
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -47,10 +49,12 @@ FrequentValueCache::FrequentValueCache(const FvcConfig &config,
     config_.validate();
     fvc_assert(encoding_.codeBits() == config_.code_bits,
                "encoding width does not match FVC config");
-    entries_.reserve(config_.entries);
-    for (uint32_t i = 0; i < config_.entries; ++i)
-        entries_.emplace_back(config_.wordsPerLine(),
-                              config_.code_bits);
+    words_per_line_ = config_.wordsPerLine();
+    entries_.resize(config_.entries);
+    codes_.assign(static_cast<size_t>(config_.entries) *
+                      words_per_line_,
+                  encoding_.nonFrequentCode());
+    evicted_codes_.assign(words_per_line_, 0);
     offset_bits_ = util::floorLog2(config_.line_bytes);
     tag_shift_ = offset_bits_ + util::floorLog2(config_.sets());
     set_mask_ = config_.sets() - 1;
@@ -99,15 +103,46 @@ FrequentValueCache::victimEntry(uint32_t set)
     return *best;
 }
 
-FvcEvicted
-FrequentValueCache::extractEntry(Entry &entry, uint32_t set) const
+uint32_t
+FrequentValueCache::frequentIn(std::span<const Code> codes) const
 {
-    FvcEvicted out;
-    out.base = baseOf(entry, set);
-    out.dirty = entry.dirty;
-    out.words.resize(config_.wordsPerLine());
-    for (uint32_t w = 0; w < config_.wordsPerLine(); ++w)
-        out.words[w] = encoding_.decode(entry.codes.get(w));
+    uint32_t n = 0;
+    for (Code c : codes)
+        n += c != encoding_.nonFrequentCode();
+    return n;
+}
+
+FrequentValueCache::Claim
+FrequentValueCache::claim(Addr addr, bool dirty)
+{
+    uint32_t set = setIndex(addr);
+    Entry &slot = victimEntry(set);
+    Claim out{codesOf(slot), std::nullopt};
+    if (slot.valid) {
+        // The slot's codes are about to be overwritten: save them.
+        std::copy(out.codes.begin(), out.codes.end(),
+                  evicted_codes_.begin());
+        out.evicted = FvcEvicted{baseOf(slot, set), slot.dirty,
+                                 evicted_codes_};
+        frequent_codes_ -= frequentIn(out.codes);
+    } else {
+        ++valid_entries_;
+    }
+    slot.tag = tagOf(addr);
+    slot.valid = true;
+    slot.dirty = dirty;
+    slot.stamp = ++clock_;
+    return out;
+}
+
+FvcEvicted
+FrequentValueCache::retire(Entry &entry, uint32_t set)
+{
+    FvcEvicted out{baseOf(entry, set), entry.dirty, codesOf(entry)};
+    frequent_codes_ -= frequentIn(out.codes);
+    --valid_entries_;
+    entry.valid = false;
+    entry.dirty = false;
     return out;
 }
 
@@ -124,7 +159,7 @@ FrequentValueCache::probeRead(Addr addr, Word &value)
     if (!e)
         return ProbeOutcome::NoTag;
     e->stamp = ++clock_;
-    auto decoded = encoding_.decode(e->codes.get(wordOffset(addr)));
+    auto decoded = encoding_.decode(codesOf(*e)[wordOffset(addr)]);
     if (!decoded)
         return ProbeOutcome::NonFrequent;
     value = *decoded;
@@ -140,7 +175,9 @@ FrequentValueCache::probeWrite(Addr addr, Word value)
     Code code = encoding_.encode(value);
     if (code == encoding_.nonFrequentCode())
         return ProbeOutcome::NonFrequent;
-    e->codes.set(wordOffset(addr), code);
+    Code &held = codesOf(*e)[wordOffset(addr)];
+    frequent_codes_ += held == encoding_.nonFrequentCode();
+    held = code;
     e->dirty = true;
     e->stamp = ++clock_;
     return ProbeOutcome::Hit;
@@ -149,51 +186,34 @@ FrequentValueCache::probeWrite(Addr addr, Word value)
 std::optional<Word>
 FrequentValueCache::readWord(Addr addr)
 {
-    Entry *e = findEntry(addr);
-    if (!e)
+    Word value = 0;
+    if (probeRead(addr, value) != ProbeOutcome::Hit)
         return std::nullopt;
-    e->stamp = ++clock_;
-    return encoding_.decode(e->codes.get(wordOffset(addr)));
+    return value;
 }
 
 bool
 FrequentValueCache::writeWord(Addr addr, Word value)
 {
-    Entry *e = findEntry(addr);
-    if (!e)
-        return false;
-    Code code = encoding_.encode(value);
-    if (code == encoding_.nonFrequentCode())
-        return false;
-    e->codes.set(wordOffset(addr), code);
-    e->dirty = true;
-    e->stamp = ++clock_;
-    return true;
+    return probeWrite(addr, value) == ProbeOutcome::Hit;
 }
 
 std::optional<FvcEvicted>
-FrequentValueCache::insertLine(Addr base,
-                               const std::vector<Word> &data,
+FrequentValueCache::insertLine(Addr base, std::span<const Code> codes,
                                bool dirty)
 {
-    fvc_assert(data.size() == config_.wordsPerLine(),
+    fvc_assert(codes.size() == words_per_line_,
                "insertLine arity mismatch");
     fvc_assert(findEntry(base) == nullptr,
                "insertLine over resident entry");
-    uint32_t set = setIndex(base);
-    Entry &slot = victimEntry(set);
-
-    std::optional<FvcEvicted> out;
-    if (slot.valid)
-        out = extractEntry(slot, set);
-
-    slot.tag = tagOf(base);
-    slot.valid = true;
-    slot.dirty = dirty;
-    slot.stamp = ++clock_;
-    for (uint32_t w = 0; w < config_.wordsPerLine(); ++w)
-        slot.codes.set(w, encoding_.encode(data[w]));
-    return out;
+    Claim claimed = claim(base, dirty);
+    for (uint32_t w = 0; w < words_per_line_; ++w) {
+        fvc_assert(codes[w] <= encoding_.nonFrequentCode(),
+                   "code too wide");
+        claimed.codes[w] = codes[w];
+        frequent_codes_ += codes[w] != encoding_.nonFrequentCode();
+    }
+    return claimed.evicted;
 }
 
 std::optional<FvcEvicted>
@@ -204,20 +224,12 @@ FrequentValueCache::writeAllocate(Addr addr, Word value)
                "writeAllocate requires a frequent value");
     fvc_assert(findEntry(addr) == nullptr,
                "writeAllocate over resident entry");
-    uint32_t set = setIndex(addr);
-    Entry &slot = victimEntry(set);
-
-    std::optional<FvcEvicted> out;
-    if (slot.valid)
-        out = extractEntry(slot, set);
-
-    slot.tag = tagOf(addr);
-    slot.valid = true;
-    slot.dirty = true;
-    slot.stamp = ++clock_;
-    slot.codes.fillWith(encoding_.nonFrequentCode());
-    slot.codes.set(wordOffset(addr), code);
-    return out;
+    Claim claimed = claim(addr, true);
+    std::fill(claimed.codes.begin(), claimed.codes.end(),
+              encoding_.nonFrequentCode());
+    claimed.codes[wordOffset(addr)] = code;
+    ++frequent_codes_;
+    return claimed.evicted;
 }
 
 std::optional<FvcEvicted>
@@ -226,10 +238,7 @@ FrequentValueCache::invalidate(Addr addr)
     Entry *e = findEntry(addr);
     if (!e)
         return std::nullopt;
-    FvcEvicted out = extractEntry(*e, setIndex(addr));
-    e->valid = false;
-    e->dirty = false;
-    return out;
+    return retire(*e, setIndex(addr));
 }
 
 std::vector<FvcEvicted>
@@ -241,11 +250,8 @@ FrequentValueCache::flush()
             Entry &e =
                 entries_[static_cast<size_t>(set) * config_.assoc +
                          way];
-            if (!e.valid)
-                continue;
-            out.push_back(extractEntry(e, set));
-            e.valid = false;
-            e.dirty = false;
+            if (e.valid)
+                out.push_back(retire(e, set));
         }
     }
     return out;
@@ -261,46 +267,15 @@ FrequentValueCache::rekey(FrequentValueEncoding encoding)
     encoding_ = std::move(encoding);
 }
 
-uint32_t
-FrequentValueCache::validLines() const
-{
-    uint32_t n = 0;
-    for (const auto &e : entries_) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
-}
-
 double
 FrequentValueCache::frequentCodeFraction() const
 {
-    uint64_t slots = 0, frequent = 0;
-    for (const auto &e : entries_) {
-        if (!e.valid)
-            continue;
-        for (uint32_t w = 0; w < config_.wordsPerLine(); ++w) {
-            ++slots;
-            if (e.codes.get(w) != encoding_.nonFrequentCode())
-                ++frequent;
-        }
-    }
+    uint64_t slots =
+        static_cast<uint64_t>(valid_entries_) * words_per_line_;
     if (slots == 0)
         return 0.0;
-    return static_cast<double>(frequent) /
+    return static_cast<double>(frequent_codes_) /
            static_cast<double>(slots);
-}
-
-uint32_t
-FrequentValueCache::frequentWordCount(
-    const std::vector<Word> &data) const
-{
-    uint32_t n = 0;
-    for (Word v : data) {
-        if (encoding_.isFrequent(v))
-            ++n;
-    }
-    return n;
 }
 
 } // namespace fvc::core

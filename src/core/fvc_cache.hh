@@ -7,12 +7,17 @@
  * frequently accessed values or marks the word as non-frequent.
  * A 32-byte line thus compresses to e.g. 3 bytes (8 words x 3 bits),
  * which is how a 1.5 KB FVC "holds 4K frequent values".
+ *
+ * The model keeps one byte per code, in one flat array (entry i at
+ * i * wordsPerLine()); FvcConfig::storageBits() is what the modelled
+ * hardware spends.
  */
 
 #ifndef FVC_CORE_FVC_CACHE_HH_
 #define FVC_CORE_FVC_CACHE_HH_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,14 +57,18 @@ struct FvcConfig
     std::string describe() const;
 };
 
-/** A line evicted or merged out of the FVC. */
+/**
+ * A line evicted or merged out of the FVC. The codes view storage
+ * the FVC owns; they stay valid until its next insertLine or
+ * writeAllocate.
+ */
 struct FvcEvicted
 {
     Addr base;
     bool dirty;
-    /** Decoded word values; nullopt where the code was
-     * non-frequent. */
-    std::vector<std::optional<Word>> words;
+    /** One code per word (decode with the FVC's encoding); the
+     * non-frequent code where the word is not held. */
+    std::span<const Code> codes;
 };
 
 /**
@@ -122,16 +131,17 @@ class FrequentValueCache
     bool writeWord(Addr addr, Word value);
 
     /**
-     * Install the identity of a line: every word that holds a
+     * Install the identity of a line from its codes
+     * (FrequentValueEncoding::encodeLine): every word that holds a
      * frequent value is coded, the rest are marked non-frequent.
      *
      * @param base line base address
-     * @param data the line's wordsPerLine() values
+     * @param codes the line's wordsPerLine() codes
      * @param dirty whether the installed codes are newer than memory
      * @return the displaced entry, if any
      */
     std::optional<FvcEvicted> insertLine(
-        Addr base, const std::vector<Word> &data, bool dirty);
+        Addr base, std::span<const Code> codes, bool dirty);
 
     /**
      * Allocate an entry for a frequent-value write miss: the
@@ -145,7 +155,8 @@ class FrequentValueCache
     /** Remove the entry for @p addr if its tag matches. */
     std::optional<FvcEvicted> invalidate(Addr addr);
 
-    /** Remove every valid entry. */
+    /** Remove every valid entry (codes valid until the next
+     * insertLine or writeAllocate). */
     std::vector<FvcEvicted> flush();
 
     /**
@@ -156,16 +167,14 @@ class FrequentValueCache
     void rekey(FrequentValueEncoding encoding);
 
     /** Number of valid entries. */
-    uint32_t validLines() const;
+    uint32_t validLines() const { return valid_entries_; }
 
     /**
      * Fraction (0..1) of code slots in valid entries that hold
-     * frequent codes — Figure 11's occupancy metric.
+     * frequent codes — Figure 11's occupancy metric. Both counts are
+     * kept current on every change, so this does not scan.
      */
     double frequentCodeFraction() const;
-
-    /** Count of frequent values a line's data would contribute. */
-    uint32_t frequentWordCount(const std::vector<Word> &data) const;
 
   private:
     struct Entry
@@ -174,14 +183,21 @@ class FrequentValueCache
         bool valid = false;
         bool dirty = false;
         uint64_t stamp = 0;
-        CodeArray codes;
-
-        Entry(uint32_t words, unsigned bits) : codes(words, bits) {}
     };
 
     FvcConfig config_;
     FrequentValueEncoding encoding_;
     std::vector<Entry> entries_;
+    /** Every entry's codes, one byte each: entry i at
+     * i * words_per_line_. */
+    std::vector<Code> codes_;
+    /** The last displaced entry's codes, saved before its slot is
+     * reused. */
+    std::vector<Code> evicted_codes_;
+    uint32_t words_per_line_ = 0;
+    /** Valid entries, and frequent codes among their slots. */
+    uint32_t valid_entries_ = 0;
+    uint64_t frequent_codes_ = 0;
     uint64_t clock_ = 0;
     /** Geometry precomputed from config_ (probed on every access). */
     unsigned offset_bits_ = 0;
@@ -207,7 +223,27 @@ class FrequentValueCache
     Entry *findEntry(Addr addr);
     const Entry *findEntry(Addr addr) const;
     Entry &victimEntry(uint32_t set);
-    FvcEvicted extractEntry(Entry &entry, uint32_t set) const;
+    std::span<Code> codesOf(const Entry &entry)
+    {
+        size_t i = static_cast<size_t>(&entry - entries_.data());
+        return {codes_.data() + i * words_per_line_, words_per_line_};
+    }
+    /** Frequent codes in @p codes. */
+    uint32_t frequentIn(std::span<const Code> codes) const;
+    /** An entry claimed for a new line: the caller writes its codes
+     * and adds the frequent ones to frequent_codes_. */
+    struct Claim
+    {
+        std::span<Code> codes;
+        /** The valid entry the slot held, if any. */
+        std::optional<FvcEvicted> evicted;
+    };
+    /** Pick the slot for @p addr's (non-resident) line, save the
+     * entry it displaces in evicted_codes_ (dropping its codes from
+     * the occupancy counts), and install the new tag. */
+    Claim claim(Addr addr, bool dirty);
+    /** Invalidate @p entry (in @p set) and return its contents. */
+    FvcEvicted retire(Entry &entry, uint32_t set);
 };
 
 } // namespace fvc::core

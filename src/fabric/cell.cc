@@ -50,14 +50,16 @@ CellSpec::describe() const
 {
     std::string out = fp_name.empty() ? workload::specIntName(bench)
                                       : fp_name;
-    out += " " + dmc.describe();
+    out.append(" ").append(dmc.describe());
     if (has_fvc)
-        out += " + " + fvc.describe();
-    if (victim_entries)
-        out += " + " + std::to_string(victim_entries) +
-               "-entry VC";
+        out.append(" + ").append(fvc.describe());
+    if (victim_entries) {
+        out.append(" + ")
+            .append(std::to_string(victim_entries))
+            .append("-entry VC");
+    }
     if (has_l2)
-        out += " + L2 " + l2.describe();
+        out.append(" + L2 ").append(l2.describe());
     return out;
 }
 

@@ -88,10 +88,14 @@ ThreadPool::shared()
 std::string
 JobFailure::describe() const
 {
-    std::string out = "#" + std::to_string(index);
-    if (attempts > 1)
-        out += " (" + std::to_string(attempts) + " attempts)";
-    out += ": " + message;
+    std::string out = "#";
+    out.append(std::to_string(index));
+    if (attempts > 1) {
+        out.append(" (")
+            .append(std::to_string(attempts))
+            .append(" attempts)");
+    }
+    out.append(": ").append(message);
     return out;
 }
 

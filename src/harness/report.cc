@@ -37,14 +37,17 @@ reportSweepFailures(const std::vector<JobFailure> &failures,
                   summarizeFailures(failures, total_jobs), " [",
                   what, "]");
     }
-    section("FAILED sweep jobs — " + what +
-            " (degraded output; set FVC_STRICT=1 to fail fast)");
+    std::string title = "FAILED sweep jobs — ";
+    title.append(what).append(
+        " (degraded output; set FVC_STRICT=1 to fail fast)");
+    section(title);
     util::Table table({"job", "attempts", "error"});
     table.alignRight(0);
     table.alignRight(1);
     for (const auto &failure : failures) {
-        table.addRow({"#" + std::to_string(failure.index),
-                      std::to_string(failure.attempts),
+        std::string job = "#";
+        job.append(std::to_string(failure.index));
+        table.addRow({job, std::to_string(failure.attempts),
                       failure.message});
     }
     std::printf("%s", table.render().c_str());

@@ -8,7 +8,8 @@
  * What "protocol-literal" means here (and what it excludes):
  *
  *  - The FVC data field is an explicit per-word array of b-bit code
- *    values (one plain byte per code), not a packed CodeArray.
+ *    values (one plain byte per code) held in each entry, not a
+ *    shared flat array with running occupancy counts.
  *  - Frequent-value encoding is a linear scan over the value list in
  *    code order — no sorted tables, no branchless lookups, no
  *    8-wide batch encoding.

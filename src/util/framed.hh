@@ -47,11 +47,8 @@ constexpr uint32_t kMaxFramePayloadBytes = 1u << 20;
 inline void
 put32(std::vector<uint8_t> &out, uint32_t v)
 {
-    out.insert(out.end(),
-               {static_cast<uint8_t>(v),
-                static_cast<uint8_t>(v >> 8),
-                static_cast<uint8_t>(v >> 16),
-                static_cast<uint8_t>(v >> 24)});
+    for (unsigned shift = 0; shift < 32; shift += 8)
+        out.push_back(static_cast<uint8_t>(v >> shift));
 }
 
 inline void

@@ -43,7 +43,9 @@ TEST(RekeyTest, ReplacesEncodingAfterFlush)
     co::FrequentValueCache fvc(
         smallFvc(), co::FrequentValueEncoding({1, 2, 3}, 3));
     std::vector<ft::Word> line(8, 1);
-    fvc.insertLine(0x1000, line, false);
+    std::vector<co::Code> codes(line.size());
+    fvc.encoding().encodeLine(line, codes);
+    fvc.insertLine(0x1000, codes, false);
     fvc.flush();
     fvc.rekey(co::FrequentValueEncoding({7, 8, 9}, 3));
     EXPECT_TRUE(fvc.encoding().isFrequent(7));

@@ -19,6 +19,8 @@ namespace fc = fvc::cache;
 namespace fm = fvc::memmodel;
 namespace ft = fvc::trace;
 
+using Words = std::vector<ft::Word>;
+
 TEST(CacheConfigTest, Geometry)
 {
     fc::CacheConfig cfg;
@@ -56,7 +58,7 @@ TEST(SetAssocCacheTest, FillProbeRead)
     cfg.line_bytes = 16;
     fc::SetAssocCache cache(cfg);
     EXPECT_EQ(cache.probe(0x1000), nullptr);
-    auto victim = cache.fill(0x1000, {1, 2, 3, 4}, false);
+    auto victim = cache.fill(0x1000, Words{1, 2, 3, 4}, false);
     EXPECT_FALSE(victim.has_value());
     ASSERT_NE(cache.probe(0x1000), nullptr);
     EXPECT_EQ(cache.readWord(0x1000), 1u);
@@ -70,9 +72,9 @@ TEST(SetAssocCacheTest, ConflictingFillEvicts)
     cfg.size_bytes = 1024;
     cfg.line_bytes = 16;
     fc::SetAssocCache cache(cfg);
-    cache.fill(0x1000, {1, 2, 3, 4}, true);
+    cache.fill(0x1000, Words{1, 2, 3, 4}, true);
     // Same index (stride = cache size), different tag.
-    auto victim = cache.fill(0x1000 + 1024, {5, 6, 7, 8}, false);
+    auto victim = cache.fill(0x1000 + 1024, Words{5, 6, 7, 8}, false);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->base, 0x1000u);
     EXPECT_TRUE(victim->dirty);
@@ -88,8 +90,8 @@ TEST(SetAssocCacheTest, AssociativityAvoidsConflict)
     cfg.line_bytes = 16;
     cfg.assoc = 2;
     fc::SetAssocCache cache(cfg);
-    cache.fill(0x1000, {1, 0, 0, 0}, false);
-    auto victim = cache.fill(0x1000 + 512, {2, 0, 0, 0}, false);
+    cache.fill(0x1000, Words{1, 0, 0, 0}, false);
+    auto victim = cache.fill(0x1000 + 512, Words{2, 0, 0, 0}, false);
     EXPECT_FALSE(victim.has_value());
     EXPECT_NE(cache.probe(0x1000), nullptr);
     EXPECT_NE(cache.probe(0x1200), nullptr);
@@ -103,11 +105,11 @@ TEST(SetAssocCacheTest, LruEvictsLeastRecentlyUsed)
     cfg.assoc = 2; // 2 sets x 2 ways
     fc::SetAssocCache cache(cfg);
     // Two lines in set 0 (stride 32 bytes).
-    cache.fill(0x000, {1, 0, 0, 0}, false);
-    cache.fill(0x040, {2, 0, 0, 0}, false);
+    cache.fill(0x000, Words{1, 0, 0, 0}, false);
+    cache.fill(0x040, Words{2, 0, 0, 0}, false);
     // Touch the first so the second becomes LRU.
     cache.probeTouch(0x000);
-    auto victim = cache.fill(0x080, {3, 0, 0, 0}, false);
+    auto victim = cache.fill(0x080, Words{3, 0, 0, 0}, false);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->base, 0x040u);
 }
@@ -118,7 +120,7 @@ TEST(SetAssocCacheTest, WriteWordSetsDirty)
     cfg.size_bytes = 256;
     cfg.line_bytes = 16;
     fc::SetAssocCache cache(cfg);
-    cache.fill(0x100, {0, 0, 0, 0}, false);
+    cache.fill(0x100, Words{0, 0, 0, 0}, false);
     cache.writeWord(0x104, 99);
     auto line = cache.probe(0x100);
     EXPECT_TRUE(line->dirty);
@@ -131,7 +133,7 @@ TEST(SetAssocCacheTest, InvalidateReturnsContents)
     cfg.size_bytes = 256;
     cfg.line_bytes = 16;
     fc::SetAssocCache cache(cfg);
-    cache.fill(0x100, {9, 8, 7, 6}, true);
+    cache.fill(0x100, Words{9, 8, 7, 6}, true);
     auto out = cache.invalidate(0x100);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->base, 0x100u);
@@ -147,8 +149,8 @@ TEST(SetAssocCacheTest, FlushReturnsAllValid)
     cfg.size_bytes = 256;
     cfg.line_bytes = 16;
     fc::SetAssocCache cache(cfg);
-    cache.fill(0x000, {1, 0, 0, 0}, true);
-    cache.fill(0x010, {2, 0, 0, 0}, false);
+    cache.fill(0x000, Words{1, 0, 0, 0}, true);
+    cache.fill(0x010, Words{2, 0, 0, 0}, false);
     auto flushed = cache.flush();
     EXPECT_EQ(flushed.size(), 2u);
     EXPECT_EQ(cache.validLines(), 0u);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the frequent value encoding and packed code array.
+ * Unit tests for the frequent value encoding.
  */
 
 #include <gtest/gtest.h>
@@ -72,50 +72,12 @@ TEST(EncodingTest, OneBitEncodesSingleValue)
     EXPECT_EQ(enc.encode(1), 1u);
 }
 
-TEST(CodeArrayTest, SetGetAllWidths)
+TEST(EncodingTest, EncodeLineCountsFrequentWords)
 {
-    for (unsigned bits = 1; bits <= 8; ++bits) {
-        co::CodeArray arr(16, bits);
-        co::Code max = static_cast<co::Code>((1u << bits) - 1);
-        for (uint32_t i = 0; i < 16; ++i)
-            arr.set(i, static_cast<co::Code>(i & max));
-        for (uint32_t i = 0; i < 16; ++i)
-            ASSERT_EQ(arr.get(i), static_cast<co::Code>(i & max))
-                << "bits=" << bits << " i=" << i;
-    }
-}
-
-TEST(CodeArrayTest, NeighborsUnaffected)
-{
-    co::CodeArray arr(8, 3);
-    arr.fillWith(7);
-    arr.set(3, 2);
-    for (uint32_t i = 0; i < 8; ++i)
-        EXPECT_EQ(arr.get(i), i == 3 ? 2u : 7u);
-}
-
-TEST(CodeArrayTest, CrossByteBoundary)
-{
-    // 3-bit codes straddle byte boundaries at indices 2, 5, ...
-    co::CodeArray arr(8, 3);
-    arr.set(2, 5);
-    arr.set(5, 6);
-    EXPECT_EQ(arr.get(2), 5u);
-    EXPECT_EQ(arr.get(5), 6u);
-}
-
-TEST(CodeArrayTest, StorageAccounting)
-{
-    co::CodeArray arr(8, 3);
-    EXPECT_EQ(arr.bits(), 24u);
-    co::CodeArray arr2(16, 1);
-    EXPECT_EQ(arr2.bits(), 16u);
-}
-
-TEST(CodeArrayTest, CompressionExample)
-{
-    // The paper's example: an 8-word 256-bit DMC line becomes a
-    // 24-bit FVC field with 3-bit codes.
-    co::CodeArray arr(8, 3);
-    EXPECT_EQ(arr.bits() * 32 / 3, 256u);
+    co::FrequentValueEncoding enc({0, 0xffffffffu, 1, 2, 4, 8, 10}, 3);
+    std::vector<co::Word> line = {0, 55555, 1, 66666, 2, 77777, 4, 88888};
+    std::vector<co::Code> codes(line.size());
+    EXPECT_EQ(enc.encodeLine(line, codes), 4u);
+    for (size_t w = 0; w < line.size(); ++w)
+        EXPECT_EQ(codes[w], enc.encode(line[w]));
 }

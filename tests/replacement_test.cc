@@ -104,7 +104,7 @@ TEST(CacheInspectorTest, ExposesLineState)
             const auto &line = inspector.line(set, way);
             if (line.valid) {
                 EXPECT_TRUE(line.dirty);
-                EXPECT_EQ(line.data[0], 1u);
+                EXPECT_EQ(cache.words(line)[0], 1u);
                 EXPECT_EQ(inspector.lineBase(set, way), 0x40u);
                 found = true;
             }

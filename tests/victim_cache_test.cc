@@ -16,7 +16,8 @@ namespace ft = fvc::trace;
 TEST(VictimCacheTest, InsertExtract)
 {
     fc::VictimCache vc(4, 32);
-    fc::EvictedLine line{0x1000, true, std::vector<ft::Word>(8, 7)};
+    std::vector<ft::Word> words(8, 7);
+    fc::EvictedLine line{0x1000, true, words};
     EXPECT_FALSE(vc.insert(line).has_value());
     EXPECT_TRUE(vc.contains(0x1000));
     auto out = vc.extract(0x1000);

@@ -101,9 +101,6 @@ TEST(FvcCacheTest, WriteHitUpdatesCode)
     // Writing a non-frequent value is rejected (a miss upstream).
     EXPECT_FALSE(fvc.writeWord(0x1008, 12345));
     EXPECT_EQ(fvc.readWord(0x1008), 0u);
-    // Each word has its own code: the neighbours kept theirs.
-    for (Addr off = 0; off < 32; off += 4)
-        EXPECT_EQ(fvc.readWord(0x1000 + off), off == 4 ? 4u : 0u);
 }
 
 TEST(FvcCacheTest, WriteMarksDirtyAndEvictReportsValues)
@@ -233,6 +230,56 @@ TEST(FvcCacheTest, CodesRoundTripAllWidths)
             }
         }
     }
+}
+
+/*
+ * The FVC's code array: the model keeps one byte per code in one
+ * flat array (entry i at i * wordsPerLine()), while the modelled
+ * hardware spends code_bits per word (fvcStorage's data bits).
+ */
+
+TEST(CodeArrayTest, NeighborsUnaffected)
+{
+    // Two lines of non-frequent words in adjacent entries. A write
+    // hit changes its own code only: the rest of its line and the
+    // next entry's first word keep the non-frequent code.
+    co::FrequentValueCache fvc(smallConfig(), topSeven());
+    std::vector<Word> line(8, 77777);
+    insertWords(fvc, 0x1000, line, false);
+    insertWords(fvc, 0x1020, line, false);
+    EXPECT_TRUE(fvc.writeWord(0x100c, 2));
+    EXPECT_TRUE(fvc.writeWord(0x101c, 4));
+    for (Addr off = 0; off < 64; off += 4) {
+        std::optional<Word> expected;
+        if (off == 0x0c)
+            expected = 2;
+        else if (off == 0x1c)
+            expected = 4;
+        EXPECT_EQ(fvc.readWord(0x1000 + off), expected) << "off=" << off;
+    }
+}
+
+TEST(CodeArrayTest, StorageAccounting)
+{
+    // 8 words x 3 bits = 24 bits an entry; 16 words x 1 bit = 16.
+    co::FvcConfig cfg = smallConfig();
+    EXPECT_EQ(co::fvcStorage(cfg).data_bits, 16u * 24);
+    cfg.line_bytes = 64;
+    cfg.code_bits = 1;
+    cfg.validate();
+    EXPECT_EQ(co::fvcStorage(cfg).data_bits, 16u * 16);
+}
+
+TEST(CodeArrayTest, CompressionExample)
+{
+    // The paper's example: an 8-word 256-bit DMC line becomes a
+    // 24-bit FVC field with 3-bit codes.
+    co::FvcConfig cfg = smallConfig(1);
+    cfg.validate();
+    uint64_t field = co::fvcStorage(cfg).data_bits;
+    EXPECT_EQ(cfg.line_bytes * 8, 256u);
+    EXPECT_EQ(field, 24u);
+    EXPECT_EQ(field * 32 / 3, 256u);
 }
 
 /**

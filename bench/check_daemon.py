@@ -161,7 +161,7 @@ def self_test():
 
     # Run environments are hermetic: injected FVC_* knobs are
     # dropped, the pinned ones set, everything else kept.
-    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+    injected = {"FVC_DAEMON": "on", "FVC_SIMD": "off",
                 "FVC_FAULT_SPEC": "sweep_job=0",
                 "FVC_DAEMON_SOCK": "/elsewhere.sock", "PATH": "/bin"}
     local = client_env(20000, None, injected)
@@ -176,7 +176,7 @@ def self_test():
     assert daemon_env("/store", True, injected)[
         "FVC_RESULT_EXPECT_WARM"] == "1"
     for env in (local, served, daemon):
-        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_SIMD" not in env, env
         assert "FVC_FAULT_SPEC" not in env, env
         assert env["PATH"] == "/bin", env
     assert "FVC_DAEMON" not in daemon, daemon

@@ -57,12 +57,12 @@ def self_test():
 
     # The bench environment is hermetic: injected FVC_* knobs are
     # dropped, the pinned ones set, everything else kept.
-    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+    injected = {"FVC_DAEMON": "on", "FVC_SIMD": "off",
                 "FVC_FAULT_SPEC": "sweep_job=0", "PATH": "/bin"}
     for workers in (None, 2):
         env = bench_env(injected, 20000, workers)
         assert env["FVC_DAEMON"] == "off", env
-        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_SIMD" not in env, env
         assert "FVC_FAULT_SPEC" not in env, env
         assert env["FVC_TRACE_ACCESSES"] == "20000", env
         assert env["PATH"] == "/bin", env

@@ -85,13 +85,13 @@ def self_test():
 
     # The bench environment is hermetic: injected FVC_* knobs are
     # dropped, the pinned ones set, everything else kept.
-    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+    injected = {"FVC_DAEMON": "on", "FVC_SIMD": "off",
                 "FVC_FAULT_SPEC": "sweep_job=0",
                 "FVC_RESULT_DIR": "/elsewhere", "PATH": "/bin"}
     for expect_warm in (False, True):
         env = bench_env(injected, 20000, "/store", expect_warm)
         assert env["FVC_DAEMON"] == "off", env
-        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_SIMD" not in env, env
         assert "FVC_FAULT_SPEC" not in env, env
         assert env["FVC_RESULT_DIR"] == "/store", env
         assert env["FVC_RESULT_CACHE"] == "on", env

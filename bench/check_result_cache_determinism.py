@@ -64,7 +64,7 @@ def self_test():
 
     # The bench environment is hermetic: injected FVC_* knobs are
     # dropped, the pinned ones set, everything else kept.
-    injected = {"FVC_DAEMON": "on", "FVC_GEN_SHARDS": "4",
+    injected = {"FVC_DAEMON": "on", "FVC_SIMD": "off",
                 "FVC_FAULT_SPEC": "sweep_job=0",
                 "FVC_RESULT_DIR": "/elsewhere", "PATH": "/bin"}
     off = bench_env(injected, 20000, None, None, None, False)
@@ -76,7 +76,7 @@ def self_test():
     assert warm["FVC_RESULT_EXPECT_WARM"] == "1", warm
     for env in (off, warm):
         assert env["FVC_DAEMON"] == "off", env
-        assert "FVC_GEN_SHARDS" not in env, env
+        assert "FVC_SIMD" not in env, env
         assert "FVC_FAULT_SPEC" not in env, env
         assert env["PATH"] == "/bin", env
 

@@ -125,6 +125,6 @@ def self_test():
 
     # 5. The hermetic environment drops every inherited FVC_* knob,
     #    pins the given ones as strings, skips None, keeps the rest.
-    env = hermetic_env({"FVC_GEN_SHARDS": "4", "PATH": "/bin"},
+    env = hermetic_env({"FVC_SIMD": "off", "PATH": "/bin"},
                        {"FVC_JOBS": 8, "FVC_WORKERS": None})
     assert env == {"PATH": "/bin", "FVC_JOBS": "8"}, env

@@ -32,15 +32,14 @@ main(int argc, char **argv)
     if (argc > 2)
         path = argv[2];
 
-    // 1. Generate a 130.li trace (one serial stream) and write it
-    //    to disk.
+    // 1. Generate a 130.li trace and write it to disk.
     auto profile = workload::specIntProfile(workload::SpecInt::Li130);
     harness::TraceKey key{profile.name,
                           workload::profileFingerprint(profile),
-                          accesses, 99, 10, 1};
+                          accesses, 99, 10};
     {
-        auto trace = harness::prepareTraceSharded(
-            profile, key.accesses, key.seed, key.top_k, 1);
+        auto trace = harness::prepareTrace(profile, key.accesses,
+                                           key.seed, key.top_k);
         if (auto err = harness::saveTraceFile(path, trace, key)) {
             std::fprintf(stderr, "%s\n", err->describe().c_str());
             return 1;

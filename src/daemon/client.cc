@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "harness/report.hh"
 #include "resultcache/repository.hh"
 #include "util/knobs.hh"
 #include "util/logging.hh"
@@ -36,6 +37,26 @@ util::Error
 ioError(const std::string &what, const std::string &path)
 {
     return {util::ErrorCode::Io, what, path};
+}
+
+/** Report the FAILED cells of a reply served by daemon @p pid the
+ * way an in-process sweep reports its failed jobs: a table, or a
+ * fatal error under FVC_STRICT=1. */
+void
+reportServedFailures(
+    const std::vector<std::optional<fabric::CellStats>> &served,
+    uint32_t pid, const std::string &what)
+{
+    std::vector<harness::JobFailure> failures;
+    for (size_t i = 0; i < served.size(); ++i) {
+        if (!served[i]) {
+            failures.push_back(
+                {i, "failed in fvc_sweepd pid " + std::to_string(pid) +
+                        " (its log names the error)"});
+        }
+    }
+    if (!failures.empty())
+        harness::reportSweepFailures(failures, served.size(), what);
 }
 
 } // namespace
@@ -414,8 +435,11 @@ runCells(const std::vector<fabric::CellSpec> &cells,
         auto client = Client::connect(options);
         if (client.ok()) {
             auto served = client.value().submit(cells);
-            if (served.ok())
+            if (served.ok()) {
+                reportServedFailures(served.value(),
+                                     client.value().daemonPid(), what);
                 return std::move(served.value());
+            }
             if (mode == DaemonMode::On) {
                 fvc_fatal("FVC_DAEMON=on but serving ", what,
                           " failed: ",

@@ -14,9 +14,14 @@
  *    in-process fallback must not pass for a daemon-served run).
  *
  * The daemon performs the exact ResultRepository::runCells call the
- * client would have made, so a daemon-served sweep is byte-identical
- * to an in-process one — stdout, CSVs, FAILED-cell rendering and
- * all. submit() survives a daemon restart: a connection that dies
+ * client would have made, so a daemon-served sweep's results, and
+ * with them its tables and CSVs, are byte-identical to an
+ * in-process one's. runCells hands each served FAILED cell to
+ * harness::reportSweepFailures as one row naming the daemon's pid
+ * (the daemon's log has the error), so FVC_STRICT=1 fails a served
+ * sweep as it fails an in-process one. Only that failure table
+ * reads differently: an in-process run lists failed jobs, not cells.
+ * submit() survives a daemon restart: a connection that dies
  * mid-conversation is reconnected (Options::retries attempts,
  * default 3; backoff bounded by Options::timeout_ms, default
  * 2000 ms) and the whole request is resubmitted — results are pure
@@ -116,8 +121,10 @@ class Client
 /**
  * Serve @p cells per FVC_DAEMON (see the file comment), falling
  * back to resultcache::runCells whenever the daemon path is off or
- * unavailable. Every cacheable bench calls this entry point, so
- * FVC_DAEMON alone decides in-process or served.
+ * unavailable. Served FAILED cells go to
+ * harness::reportSweepFailures, as in-process failures do. Every
+ * cacheable bench calls this entry point, so FVC_DAEMON alone
+ * decides in-process or served.
  */
 std::vector<std::optional<fabric::CellStats>>
 runCells(const std::vector<fabric::CellSpec> &cells,

@@ -97,6 +97,17 @@ struct Server::Batch
 util::Expected<std::unique_ptr<Server>>
 Server::create(const Options &options)
 {
+    // Strict mode makes a failed sweep fatal, and here that would
+    // take down the daemon and every client's batch. A client that
+    // sets it gets the same effect from its own report of the
+    // FAILED cells it is served (daemon::runCells).
+    if (util::strictMode()) {
+        return util::Error{util::ErrorCode::Invalid,
+                           "FVC_STRICT=1 is a client-side setting; "
+                           "set it for the bench that submits, not "
+                           "for the daemon",
+                           ""};
+    }
     std::unique_ptr<Server> server(new Server);
     server->path_ = options.socket_path.empty()
                         ? fvc::daemon::socketPath()

@@ -35,7 +35,8 @@
  *    closed, a warning names the reason, and every other client —
  *    including ones that connect later — is served normally.
  *  - A cell that fails to simulate returns a status=FAILED Result
- *    frame, never a dead daemon.
+ *    frame, never a dead daemon. That is why create() refuses
+ *    FVC_STRICT=1, which would make a failed batch fatal.
  *  - A dead client mid-batch costs nothing: its results are
  *    published to the store, the send is dropped on the floor.
  *
@@ -78,7 +79,8 @@ class Server
     /**
      * Bind and listen. A live daemon on the path is an error; a
      * stale socket file (bind says in-use but nobody accepts) is
-     * unlinked and rebound. The server owns its socket and its
+     * unlinked and rebound. FVC_STRICT=1 is an error: it is a
+     * client-side setting. The server owns its socket and its
      * batch thread, so it is never moved.
      */
     static util::Expected<std::unique_ptr<Server>>

@@ -31,7 +31,6 @@ traceKey(const CellSpec &cell)
     key.accesses = cell.accesses;
     key.seed = cell.seed;
     key.top_k = cell.top_k;
-    key.gen_shards = harness::genShards();
     return key;
 }
 

@@ -64,10 +64,10 @@ workload::BenchmarkProfile cellProfile(const CellSpec &cell);
 
 /**
  * Content fingerprint of one cell: profile content hash + trace
- * parameters (including the active FVC_GEN_SHARDS and generator
- * version, like TraceKey) + geometry + policy. Equal fingerprints
- * mean byte-identical simulation results, so a result record
- * keyed by this hash is safe to reuse across runs and machines.
+ * parameters (including the generator version, like TraceKey) +
+ * geometry + policy. Equal fingerprints mean byte-identical
+ * simulation results, so a result record keyed by this hash is safe
+ * to reuse across runs and machines.
  */
 uint64_t cellFingerprint(const CellSpec &cell);
 

@@ -59,39 +59,19 @@ struct PreparedTrace
  * fixes them for the cache experiment; using the same trace for
  * both is the trace-driven equivalent.
  *
- * Generation is sharded across FVC_GEN_SHARDS threads (default 1:
- * the classic serial stream); see prepareTraceSharded.
- *
  * @param top_k how many frequent values to extract
  */
 PreparedTrace prepareTrace(const workload::BenchmarkProfile &profile,
                            uint64_t accesses, uint64_t seed = 1,
                            size_t top_k = 10);
 
-/**
- * prepareTrace with an explicit shard count and worker bound.
- *
- * Shards are independent slices of the access budget (each with a
- * derived seed, its own address band, and globally-phased value
- * pools — workload::GenShard) generated concurrently and stitched
- * in shard order. The result is a pure function of
- * (profile, accesses, seed, top_k, shards): byte-identical no
- * matter how many threads generated it. shards == 1 reproduces the
- * serial stream exactly; shards > 1 is a *different* (equally
- * valid) trace for the same profile and is keyed separately by the
- * repository and the persistent store.
- *
- * @param shards slice count, in [1, workload::kMaxGenShards]
- * @param jobs worker-thread bound; 0 means min(shards, FVC_JOBS)
- */
-PreparedTrace
-prepareTraceSharded(const workload::BenchmarkProfile &profile,
-                    uint64_t accesses, uint64_t seed, size_t top_k,
-                    uint32_t shards, unsigned jobs = 0);
-
-/** FVC_GEN_SHARDS, in [1, workload::kMaxGenShards]; 1 when unset
- * or bad. */
-uint32_t genShards();
+/** Always 1: every trace is one serial stream. Kept because the
+ * gridbench driver reports it as gen_shards. */
+inline uint32_t
+genShards()
+{
+    return 1;
+}
 
 /** Install the preload image (the memory state the program built
  * before the traced window) into @p image. */

@@ -48,7 +48,6 @@ TraceKeyHash::operator()(const TraceKey &key) const
     mix(key.accesses);
     mix(key.seed);
     mix(key.top_k);
-    mix(key.gen_shards);
     return h;
 }
 
@@ -91,7 +90,9 @@ storeContentKey(const TraceKey &key)
     h = mix64(h ^ key.accesses);
     h = mix64(h ^ key.seed);
     h = mix64(h ^ key.top_k);
-    h = mix64(h ^ key.gen_shards);
+    // A constant 1 where a generation shard count once was: it keeps
+    // every key, store file name and cell fingerprint on disk valid.
+    h = mix64(h ^ 1);
     h = mix64(h ^ workload::kGeneratorVersion);
     return h;
 }
@@ -136,7 +137,6 @@ saveTraceFile(const std::string &path, const PreparedTrace &trace,
     meta.seed = key.seed;
     meta.top_k = static_cast<uint32_t>(key.top_k);
     meta.generator_version = workload::kGeneratorVersion;
-    meta.gen_shards = key.gen_shards;
     meta.chunk_records = sim::kChunkRecords;
 
     const std::vector<uint8_t> initial =
@@ -295,8 +295,7 @@ TraceRepository::produce(const workload::BenchmarkProfile &profile,
     }
     generations_.fetch_add(1);
     auto trace = std::make_shared<const PreparedTrace>(
-        prepareTraceSharded(profile, key.accesses, key.seed,
-                            key.top_k, key.gen_shards));
+        prepareTrace(profile, key.accesses, key.seed, key.top_k));
 
     if (mode == StoreMode::ReadWrite) {
         std::error_code ec;
@@ -316,7 +315,7 @@ TraceRepository::get(const workload::BenchmarkProfile &profile,
                      uint64_t accesses, uint64_t seed, size_t top_k)
 {
     TraceKey key{profile.name, workload::profileFingerprint(profile),
-                 accesses, seed, top_k, genShards()};
+                 accesses, seed, top_k};
 
     std::promise<TracePtr> promise;
     std::shared_future<TracePtr> future;

@@ -7,12 +7,11 @@
  * in some of them) regenerated an identical trace from scratch.
  *
  * Tier 1 (memory): prepareTrace() is memoized by TraceKey — the
- * profile *content* fingerprint plus (accesses, seed, top_k,
- * generation shards) — so concurrent sweep jobs share one immutable
- * trace, and generation for distinct keys proceeds in parallel:
- * the first caller of a key generates while callers of other keys
- * generate theirs, and later callers of the same key block only on
- * that key's completion.
+ * profile *content* fingerprint plus (accesses, seed, top_k) — so
+ * concurrent sweep jobs share one immutable trace, and generation
+ * for distinct keys proceeds in parallel: the first caller of a key
+ * generates while callers of other keys generate theirs, and later
+ * callers of the same key block only on that key's completion.
  *
  * Tier 2 (disk, optional): with FVC_TRACE_DIR set, a memory miss
  * first consults a persistent store of format-v3 files
@@ -68,8 +67,6 @@ struct TraceKey
     uint64_t accesses = 0;
     uint64_t seed = 0;
     size_t top_k = 0;
-    /** Generation shard count (sharding changes the stream). */
-    uint32_t gen_shards = 1;
 
     bool operator==(const TraceKey &) const = default;
 };

@@ -140,14 +140,6 @@ class FunctionalMemory
     static util::Expected<FunctionalMemory>
     deserialize(const uint8_t *data, size_t bytes);
 
-    /**
-     * Merge @p other's pages into this memory. Page sets must be
-     * disjoint (asserted) — the sharded trace generator gives each
-     * shard its own address band, so stitching images is a plain
-     * union.
-     */
-    void mergeDisjointFrom(const FunctionalMemory &other);
-
   private:
     std::unordered_map<uint32_t, std::unique_ptr<Page>> pages_;
     /**

@@ -14,7 +14,6 @@
 #include <cstring>
 
 #include "memmodel/functional_memory.hh"
-#include "util/logging.hh"
 
 namespace fvc::memmodel {
 
@@ -91,18 +90,6 @@ FunctionalMemory::deserialize(const uint8_t *data, size_t bytes)
         out.pages_.emplace(num, std::move(page));
     }
     return out;
-}
-
-void
-FunctionalMemory::mergeDisjointFrom(const FunctionalMemory &other)
-{
-    for (const auto &[num, page] : other.pages_) {
-        auto [it, inserted] =
-            pages_.emplace(num, std::make_unique<Page>(*page));
-        fvc_assert(inserted,
-                   "mergeDisjointFrom: page collision at page ", num);
-        (void)it;
-    }
 }
 
 } // namespace fvc::memmodel

@@ -338,7 +338,6 @@ DiffRunner::runMmapWarm(const harness::PreparedTrace &trace,
     key.accesses = trace.columns.size();
     key.seed = 0;
     key.top_k = trace.frequent_values.size();
-    key.gen_shards = 1;
 
     std::string dir =
         "/tmp/fvc_oracle_diff_" + std::to_string(::getpid());

@@ -131,7 +131,6 @@ writeStore(const std::string &path, const StoreMeta &meta,
     header.seed = meta.seed;
     header.top_k = meta.top_k;
     header.generator_version = meta.generator_version;
-    header.gen_shards = meta.gen_shards;
     header.frequent_count =
         static_cast<uint32_t>(frequent_values.size());
     header.chunk_records = meta.chunk_records;

@@ -83,7 +83,8 @@ struct StoreHeader
     uint32_t top_k = 0;
     /** workload::kGeneratorVersion at write time. */
     uint32_t generator_version = 0;
-    /** Shard count the trace was generated with. */
+    /** Always 1: the generation shard count of earlier writers,
+     * kept so the v3 layout does not move. */
     uint32_t gen_shards = 1;
     uint32_t frequent_count = 0;
     /** Records per full chunk (sim::kChunkRecords at write time). */
@@ -146,7 +147,6 @@ struct StoreMeta
     uint64_t seed = 0;
     uint32_t top_k = 0;
     uint32_t generator_version = 0;
-    uint32_t gen_shards = 1;
     /** Records per full chunk (all chunks but the last). */
     uint64_t chunk_records = 0;
 };

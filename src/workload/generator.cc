@@ -4,75 +4,6 @@
 
 namespace fvc::workload {
 
-namespace {
-
-/**
- * Seed for one shard: a SplitMix64 step over (seed, index) so
- * shards draw independent streams. count == 1 keeps the caller's
- * seed untouched — the unsharded stream is byte-identical to the
- * pre-sharding generator.
- */
-uint64_t
-shardSeed(uint64_t seed, const GenShard &shard)
-{
-    if (shard.count <= 1)
-        return seed;
-    uint64_t z = seed + 0x9e3779b97f4a7c15ull * (shard.index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-/**
- * Give each shard its own address band by shifting every kernel's
- * base region. The stride preserves cache-set alignment (see
- * kGenShardAddrStride); bands never collide, so the shards' memory
- * images are page-disjoint and stitch by plain union.
- */
-BenchmarkProfile
-shardProfile(BenchmarkProfile profile, const GenShard &shard)
-{
-    if (shard.count <= 1 || shard.index == 0)
-        return profile;
-    const Addr delta = shard.index * kGenShardAddrStride;
-    for (auto &spec : profile.kernels) {
-        std::visit(
-            [delta](auto &params) {
-                using T = std::decay_t<decltype(params)>;
-                if constexpr (std::is_same_v<T, PointerChaseParams>)
-                    params.heap_base += delta;
-                else if constexpr (std::is_same_v<T, StackParams>)
-                    params.stack_top += delta;
-                else
-                    params.base += delta;
-            },
-            spec.params);
-    }
-    return profile;
-}
-
-} // namespace
-
-uint64_t
-shardTargetAccesses(uint64_t total, uint32_t index, uint32_t count)
-{
-    fvc_assert(count >= 1 && count <= kMaxGenShards &&
-                   index < count,
-               "bad generation shard ", index, "/", count);
-    return total / count + (index < total % count ? 1 : 0);
-}
-
-uint64_t
-shardProgressBase(uint64_t total, uint32_t index, uint32_t count)
-{
-    fvc_assert(count >= 1 && count <= kMaxGenShards &&
-                   index < count,
-               "bad generation shard ", index, "/", count);
-    const uint64_t extra =
-        index < total % count ? index : total % count;
-    return (total / count) * index + extra;
-}
-
 /**
  * Private engine: owns the functional memory, kernels, pools, and
  * the record queue, and implements the Emitter interface kernels
@@ -82,11 +13,8 @@ class SyntheticWorkload::Impl : public Emitter
 {
   public:
     Impl(const BenchmarkProfile &profile, uint64_t target,
-         uint64_t seed, uint64_t progress_base,
-         uint64_t progress_total)
-        : profile_(profile), target_(target),
-          progress_base_(progress_base),
-          progress_total_(progress_total), rng_(seed)
+         uint64_t seed)
+        : profile_(profile), target_(target), rng_(seed)
     {
         fvc_assert(!profile.kernels.empty(),
                    "profile has no kernels: ", profile.name);
@@ -157,14 +85,10 @@ class SyntheticWorkload::Impl : public Emitter
     ValuePool &
     pool() override
     {
-        // Progress is *global* across shards: a shard covering the
-        // last quarter of the workload must see the late-phase
-        // pools, exactly as the records it stands in for would.
-        double progress = progress_total_ == 0
+        double progress = target_ == 0
             ? 1.0
-            : static_cast<double>(progress_base_ +
-                                  emitted_accesses_) /
-                  static_cast<double>(progress_total_);
+            : static_cast<double>(emitted_accesses_) /
+                  static_cast<double>(target_);
         for (size_t i = 0; i < pools_.size(); ++i) {
             if (progress < profile_.phases[i].until)
                 return pools_[i];
@@ -207,8 +131,6 @@ class SyntheticWorkload::Impl : public Emitter
   private:
     BenchmarkProfile profile_;
     uint64_t target_;
-    uint64_t progress_base_;
-    uint64_t progress_total_;
     util::Rng rng_;
     memmodel::FunctionalMemory memory_;
     std::vector<std::unique_ptr<Kernel>> kernels_;
@@ -265,18 +187,12 @@ class SyntheticWorkload::Impl : public Emitter
     }
 };
 
-SyntheticWorkload::SyntheticWorkload(BenchmarkProfile profile,
-                                     uint64_t accesses, uint64_t seed,
-                                     GenShard shard)
-    : profile_(shardProfile(std::move(profile), shard))
+SyntheticWorkload::SyntheticWorkload(const BenchmarkProfile &profile,
+                                     uint64_t accesses, uint64_t seed)
+    : impl_(std::make_unique<Impl>(
+          profile, accesses ? accesses : profile.default_accesses,
+          seed))
 {
-    const uint64_t total =
-        accesses ? accesses : profile_.default_accesses;
-    target_accesses_ =
-        shardTargetAccesses(total, shard.index, shard.count);
-    impl_ = std::make_unique<Impl>(
-        profile_, target_accesses_, shardSeed(seed, shard),
-        shardProgressBase(total, shard.index, shard.count), total);
 }
 
 SyntheticWorkload::~SyntheticWorkload() = default;
@@ -303,14 +219,6 @@ uint64_t
 SyntheticWorkload::currentIcount() const
 {
     return impl_->icount();
-}
-
-std::unique_ptr<SyntheticWorkload>
-makeWorkload(const BenchmarkProfile &profile, uint64_t accesses,
-             uint64_t seed)
-{
-    return std::make_unique<SyntheticWorkload>(profile, accesses,
-                                               seed);
 }
 
 } // namespace fvc::workload

@@ -6,11 +6,14 @@
  * serving parity against direct simulation, a >=10k-frame malformed
  * fuzz against a live daemon, store hits answered while a miss waits
  * for its window or simulates, per-connection reply order, forked
- * multi-client dedup proven by repository counters, lifecycle
- * (stale-socket rebind, live-daemon refusal, graceful drain, a
- * shutdown during a simulating batch, client reconnect across
- * restart), the store-level first-wins race between a daemon
- * publish and a direct writer, and the FAILED-cell record path.
+ * multi-client dedup proven by repository counters,
+ * daemon::runCells (served results equal in-process ones, and a
+ * served FAILED cell reaches the client's failure report), lifecycle
+ * (stale-socket rebind, live-daemon refusal, FVC_STRICT refusal,
+ * graceful drain, a shutdown during a simulating batch, client
+ * reconnect across restart), the store-level first-wins race
+ * between a daemon publish and a direct writer, and the FAILED-cell
+ * record path.
  */
 
 #include <gtest/gtest.h>
@@ -1026,6 +1029,57 @@ TEST(DaemonServerTest, ForkedClientsShareOneSimulationPerFingerprint)
 }
 
 // ---------------------------------------------------------------
+// daemon::runCells: the entry point every cacheable bench calls.
+// ---------------------------------------------------------------
+
+TEST(DaemonRunCellsTest, ServesInProcessResultsAndReportsFailedCells)
+{
+    EnvGuard env;
+    TempDir dir;
+    fd::Server::Options options;
+    options.socket_path = dir.file("d.sock");
+    options.batch_window_ms = 2;
+    ServerThread server(options);
+    ASSERT_TRUE(server.running());
+    EnvGuard::set("FVC_DAEMON_SOCK", options.socket_path);
+
+    const auto cells = sampleSpecVariants(707);
+    EnvGuard::set("FVC_DAEMON", "on");
+    const auto served = fd::runCells(cells, "served grid");
+    EnvGuard::set("FVC_DAEMON", "off");
+    const auto local = fd::runCells(cells, "in-process grid");
+    ASSERT_EQ(served.size(), cells.size());
+    ASSERT_EQ(local.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        ASSERT_TRUE(served[i] && local[i]) << cells[i].describe();
+        EXPECT_TRUE(served[i]->identical(*local[i]))
+            << cells[i].describe();
+    }
+
+    // A cell the daemon fails reaches the client's own failure
+    // report, the one FVC_STRICT=1 makes fatal. The daemon's batch
+    // reports it too, under its own name, so look for the client's.
+    EnvGuard::set("FVC_DAEMON", "on");
+    const size_t current = fh::detail::nextGlobalSweepIndex();
+    EnvGuard::set("FVC_FAULT_SPEC",
+                  "sweep_job=" + std::to_string(current + 1));
+    ::testing::internal::CaptureStdout();
+    const auto doomed = fd::runCells(
+        {makeCell(fw::SpecInt::Go099, 708)}, "served doomed sweep");
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EnvGuard::unset("FVC_FAULT_SPEC");
+    ASSERT_EQ(doomed.size(), 1u);
+    EXPECT_FALSE(doomed[0].has_value());
+    EXPECT_NE(out.find("FAILED sweep jobs — served doomed sweep"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("failed in fvc_sweepd pid " +
+                       std::to_string(::getpid())),
+              std::string::npos)
+        << out;
+}
+
+// ---------------------------------------------------------------
 // Lifecycle: stale sockets, live-daemon refusal, drain, restart.
 // ---------------------------------------------------------------
 
@@ -1081,6 +1135,25 @@ TEST(DaemonLifecycleTest, LiveDaemonIsNotDisplaced)
     auto client = fd::Client::connect(copts);
     ASSERT_TRUE(client.ok()) << client.error().describe();
     EXPECT_TRUE(client.value().ping(2).ok());
+}
+
+TEST(DaemonLifecycleTest, StrictModeIsRefusedAsAClientSetting)
+{
+    // Strict mode makes a failed batch fatal: a strict daemon would
+    // die on its first failed cell and strand every client.
+    EnvGuard env;
+    TempDir dir;
+    EnvGuard::set("FVC_STRICT", "1");
+    fd::Server::Options options;
+    options.socket_path = dir.file("d.sock");
+    auto server = fd::Server::create(options);
+    ASSERT_FALSE(server.ok());
+    EXPECT_EQ(server.error().code, fu::ErrorCode::Invalid);
+    EXPECT_NE(server.error().message.find(
+                  "FVC_STRICT=1 is a client-side setting"),
+              std::string::npos)
+        << server.error().describe();
+    EXPECT_FALSE(fs::exists(options.socket_path));
 }
 
 TEST(DaemonLifecycleTest, GracefulShutdownDrainsInFlightBatches)

@@ -41,23 +41,13 @@ TEST(RunnerTest, FrequentValuesMatchAccessProfiler)
         auto profile = fw::specIntProfile(bench);
 
         fw::SyntheticWorkload gen(profile, kAccesses, kSeed);
-        fp::AccessProfiler serial_ref({1});
+        fp::AccessProfiler ref({1});
         fvc::trace::MemRecord rec;
         while (gen.next(rec))
-            serial_ref.observe(rec);
+            ref.observe(rec);
         EXPECT_EQ(fh::prepareTrace(profile, kAccesses, kSeed, 10)
                       .frequent_values,
-                  serial_ref.topKValues(10))
-            << profile.name;
-
-        auto sharded =
-            fh::prepareTraceSharded(profile, kAccesses, kSeed, 10, 4);
-        fp::AccessProfiler sharded_ref({1});
-        sharded.columns.forEachRecord(
-            [&](const fvc::trace::MemRecord &r) {
-                sharded_ref.observe(r);
-            });
-        EXPECT_EQ(sharded.frequent_values, sharded_ref.topKValues(10))
+                  ref.topKValues(10))
             << profile.name;
     }
 }

@@ -6,6 +6,9 @@ Over the C++ sources under src/, bench/, examples/ and tests/:
   2. the FVC_* names passed to the util/knobs.hh readers are exactly
      the names in EXPERIMENTS.md's knob table (tests/knobs_test.cc,
      which tests the readers under a made-up name, is skipped).
+And over the prose of DESIGN.md, README.md and the verify skill:
+  3. every FVC_* name is one of those knobs or one a bench/*.sh
+     script reads, so no document goes on describing a deleted knob.
 
 Usage: knob_check.py [--root DIR]  (a self-test runs first)
 """
@@ -24,6 +27,10 @@ READER_CALL = re.compile(
     r'\bknob(?:Flag|Choice|Count|Text|StoreMode)\s*(?:<[^<>()]*>)?'
     r'\s*\(\s*"(FVC_[A-Z0-9_]+)"')
 TABLE_ROW = re.compile(r'^\|\s*`(FVC_[A-Z0-9_]+)`\s*\|', re.M)
+PROSE_FILES = ("DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md")
+# A whole name: FVC_* and other wildcards are not names.
+PROSE_NAME = re.compile(r'\bFVC_[A-Z0-9_]*[A-Z0-9]\b(?!\*)')
+SCRIPT_READ = re.compile(r'\$\{(FVC_[A-Z0-9_]+)')
 
 
 def check(root):
@@ -50,6 +57,17 @@ def check(root):
                         f"in {TABLE_FILE}'s knob table")
     for name in sorted(set(rows) - set(read)):
         problems.append(f"{TABLE_FILE}: lists {name}, which nothing reads")
+    known = set(read)
+    for path in sorted((root / "bench").glob("*.sh")):
+        known.update(SCRIPT_READ.findall(path.read_text(errors="replace")))
+    for rel in PROSE_FILES:
+        doc = root / rel
+        text = doc.read_text() if doc.is_file() else ""
+        for m in PROSE_NAME.finditer(text):
+            if m.group(0) not in known:
+                problems.append(
+                    f"{rel}:{text.count(chr(10), 0, m.start()) + 1}: "
+                    f"names {m.group(0)}, which nothing reads")
     return problems, read
 
 
@@ -63,6 +81,9 @@ def self_test():
             "src/a.cc": 'knobCount(\n    "FVC_A", 1, 1, 9);\n'
                         'knobChoice<Mode>("FVC_B", {}, Mode::X);\n',
             TABLE_FILE: "| `FVC_A` | knobCount |\n| `FVC_B` | knobChoice |\n",
+            "bench/r.sh": 'n="${FVC_SCRIPT:-1}"\n',
+            "DESIGN.md": "Every `FVC_*` knob; `FVC_A=2` and `FVC_B`.\n",
+            "README.md": "`FVC_SCRIPT=2` is read by a script.\n",
         }
         for rel, text in files.items():
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -75,6 +96,8 @@ def self_test():
             ("bench/m.cc", 'knobFlag("FVC_UNDOC");\n', "reads FVC_UNDOC"),
             (TABLE_FILE, files[TABLE_FILE] + "| `FVC_GONE` | knobFlag |\n",
              "lists FVC_GONE"),
+            ("DESIGN.md", files["DESIGN.md"] + "\n`FVC_DELETED=4` splits.\n",
+             "DESIGN.md:3: names FVC_DELETED"),
         ]
         for rel, text, want in plants:
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -95,7 +118,8 @@ def main():
     print("\n".join(problems + [
         f"knob_check: {len(problems)} problem(s)" if problems else
         f"knob_check: ok ({len(read)} knobs, each read through "
-        f"{READER_FILE} and listed in {TABLE_FILE})"]))
+        f"{READER_FILE} and listed in {TABLE_FILE}; the prose names "
+        f"no other)"]))
     return 1 if problems else 0
 
 

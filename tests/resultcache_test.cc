@@ -746,6 +746,59 @@ TEST(ResultRepositoryTest, DistinctCellKindsGetDistinctFingerprints)
               fb::cellFingerprint(l2_big));
 }
 
+TEST(ResultRepositoryTest, CellFingerprintsArePinned)
+{
+    // Result records, fabric spills and gridbench's reference table
+    // are keyed by these values (all but the SPECfp cell are seed-0
+    // grid cells, so gridbench/reference_seed0.tsv holds the same
+    // keys). A change that moves one orphans every record of that
+    // kind already on disk, so it has to edit these literals.
+    EnvGuard env;
+    fb::CellSpec dmc; // Figure 10's bare DMC
+    dmc.bench = fw::SpecInt::Gcc126;
+    dmc.accesses = 400000;
+    dmc.seed = 17;
+    dmc.dmc.size_bytes = 16 * 1024;
+    dmc.dmc.line_bytes = 32;
+
+    auto fvc = dmc; // Figure 13's 16 KB DMC + 512-entry FVC
+    fvc.bench = fw::SpecInt::M88ksim124;
+    fvc.seed = 23;
+    fvc.has_fvc = true;
+    fvc.fvc.entries = 512;
+    fvc.fvc.line_bytes = 32;
+    fvc.fvc.code_bits = 3;
+
+    auto victim = dmc; // Figure 15's 16-entry victim cache
+    victim.bench = fw::SpecInt::Li130;
+    victim.seed = 73;
+    victim.dmc.size_bytes = 4 * 1024;
+    victim.victim_entries = 16;
+
+    auto l2 = dmc; // ext_two_level's L1 + L2
+    l2.bench = fw::SpecInt::Perl134;
+    l2.seed = 87;
+    l2.has_l2 = true;
+    l2.l2.size_bytes = 128 * 1024;
+    l2.l2.line_bytes = 32;
+    l2.l2.assoc = 4;
+
+    auto wt = dmc; // ext_write_policy's write-through DMC
+    wt.bench = fw::SpecInt::Vortex147;
+    wt.seed = 83;
+    wt.dmc.write_policy = fc::WritePolicy::WriteThrough;
+
+    auto fp = dmc;
+    fp.fp_name = "102.swim";
+
+    EXPECT_EQ(fb::cellFingerprint(dmc), 0xabf21ac1e725275cull);
+    EXPECT_EQ(fb::cellFingerprint(fvc), 0x0ed0c3ec61458fdaull);
+    EXPECT_EQ(fb::cellFingerprint(victim), 0x946e715eb2e205dcull);
+    EXPECT_EQ(fb::cellFingerprint(l2), 0x07ef6fa63b9ddccfull);
+    EXPECT_EQ(fb::cellFingerprint(wt), 0x2fb4f69c1ef40ea9ull);
+    EXPECT_EQ(fb::cellFingerprint(fp), 0x5a45c213a1a54cfcull);
+}
+
 // ---------------------------------------------------------------
 // The thread backend's dispatch plan.
 // ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the persistent trace store: v3 file round-trips,
- * corruption and bad-op rejection, sharded generation determinism,
- * and the TraceRepository's disk tier (warm hits, healing, eviction
+ * corruption and bad-op rejection, pinned content keys, and the
+ * TraceRepository's disk tier (warm hits, healing, eviction
  * preferences, content-keyed file names).
  */
 
@@ -24,7 +24,6 @@
 #include "trace/trace_store.hh"
 #include "util/error.hh"
 #include "workload/fingerprint.hh"
-#include "workload/generator.hh"
 #include "workload/profile.hh"
 
 #include "env_guard.hh"
@@ -44,7 +43,7 @@ using fvc::test::TempDir;
 
 fh::TraceKey
 makeKey(const fw::BenchmarkProfile &profile, uint64_t accesses,
-        uint64_t seed, size_t top_k = 10, uint32_t shards = 1)
+        uint64_t seed, size_t top_k = 10)
 {
     fh::TraceKey key;
     key.profile = profile.name;
@@ -52,7 +51,6 @@ makeKey(const fw::BenchmarkProfile &profile, uint64_t accesses,
     key.accesses = accesses;
     key.seed = seed;
     key.top_k = top_k;
-    key.gen_shards = shards;
     return key;
 }
 
@@ -358,68 +356,6 @@ TEST(TraceStoreTest, BadOpByteUnderValidCrcIsCorrupt)
 }
 
 // ---------------------------------------------------------------
-// Sharded generation
-// ---------------------------------------------------------------
-
-TEST(ShardedGenerationTest, OneShardReproducesSerialStream)
-{
-    EnvGuard env;
-    auto profile = fw::specIntProfile(fw::SpecInt::Li130);
-    auto serial = fh::prepareTrace(profile, 12000, 5);
-    auto sharded = fh::prepareTraceSharded(profile, 12000, 5, 10,
-                                           /*shards=*/1);
-    expectTracesEqual(serial, sharded);
-}
-
-TEST(ShardedGenerationTest, ResultIndependentOfWorkerCount)
-{
-    // The stitched trace is a pure function of (profile, accesses,
-    // seed, top_k, shards): one worker and eight workers must
-    // produce byte-identical results.
-    EnvGuard env;
-    auto profile = fw::specIntProfile(fw::SpecInt::Gcc126);
-    auto one = fh::prepareTraceSharded(profile, 12000, 5, 10,
-                                       /*shards=*/4, /*jobs=*/1);
-    auto eight = fh::prepareTraceSharded(profile, 12000, 5, 10,
-                                         /*shards=*/4, /*jobs=*/8);
-    expectTracesEqual(one, eight);
-
-    // Sharding changes the stream definition: it is keyed
-    // separately, and the records really do differ from serial
-    // (each shard runs its own kernel initialization, so even the
-    // record count moves).
-    auto serial = fh::prepareTrace(profile, 12000, 5);
-    EXPECT_NE(one.columns.materializeRecords(),
-              serial.columns.materializeRecords());
-}
-
-TEST(ShardedGenerationTest, ShardAccessBudgetsPartitionTotal)
-{
-    uint64_t total = 0;
-    for (uint32_t i = 0; i < 4; ++i) {
-        // Each shard starts exactly where the previous one ends.
-        EXPECT_EQ(fw::shardProgressBase(12001, i, 4), total);
-        total += fw::shardTargetAccesses(12001, i, 4);
-    }
-    EXPECT_EQ(total, 12001u);
-}
-
-TEST(ShardedGenerationTest, ShardedRoundTripsThroughStore)
-{
-    EnvGuard env;
-    TempDir dir;
-    auto profile = fw::specIntProfile(fw::SpecInt::Perl134);
-    auto trace =
-        fh::prepareTraceSharded(profile, 8000, 3, 10, /*shards=*/4);
-    auto key = makeKey(profile, 8000, 3, 10, /*shards=*/4);
-    const std::string path = dir.file(fh::storeFileName(key));
-    ASSERT_FALSE(fh::saveTraceFile(path, trace, key).has_value());
-    auto loaded = fh::loadTraceFile(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().describe();
-    expectTracesEqual(trace, loaded.value());
-}
-
-// ---------------------------------------------------------------
 // Content keys and file names
 // ---------------------------------------------------------------
 
@@ -443,11 +379,6 @@ TEST(TraceStoreTest, ContentKeySeparatesEveryInput)
     EXPECT_NE(fh::storeContentKey(base),
               fh::storeContentKey(variant));
 
-    variant = base;
-    variant.gen_shards = 4;
-    EXPECT_NE(fh::storeContentKey(base),
-              fh::storeContentKey(variant));
-
     // Same display name, different content: a profile edit must
     // change the key even though the name did not.
     auto edited = profile;
@@ -458,6 +389,26 @@ TEST(TraceStoreTest, ContentKeySeparatesEveryInput)
               fh::storeContentKey(edited_key));
     EXPECT_NE(fh::storeFileName(base),
               fh::storeFileName(edited_key));
+}
+
+TEST(TraceStoreTest, ContentKeysArePinned)
+{
+    // Every .fvcs file name, and through cellTraceHash every cell
+    // fingerprint, is built on this key. A change that moves it
+    // orphans every trace store, result store and reference table
+    // already on disk, so it has to edit these literals.
+    fh::TraceKey literal;
+    literal.profile = "pinned";
+    literal.profile_hash = 0x0123456789abcdefull;
+    literal.accesses = 400000;
+    literal.seed = 0;
+    literal.top_k = 10;
+    EXPECT_EQ(fh::storeContentKey(literal), 0x2976448eef24df74ull);
+
+    const auto gcc =
+        makeKey(fw::specIntProfile(fw::SpecInt::Gcc126), 400000, 0);
+    EXPECT_EQ(fh::storeContentKey(gcc), 0xece88b82638ba417ull);
+    EXPECT_EQ(fh::storeFileName(gcc), "126.gcc-ece88b82638ba417.fvcs");
 }
 
 TEST(TraceStoreTest, FileNamesAreSanitized)

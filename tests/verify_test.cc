@@ -260,9 +260,9 @@ TEST(TraceIntegrityTest, CorruptFileHelperTripsTheReader)
     // The store's own bit-flip sweep lives in trace_store_test.cc;
     // this checks that the injector's file corruption reaches it.
     auto profile = fw::specIntProfile(fw::SpecInt::Li130);
-    auto trace = fh::prepareTraceSharded(profile, 2000, 17, 10, 1);
+    auto trace = fh::prepareTrace(profile, 2000, 17, 10);
     fh::TraceKey key{profile.name, fw::profileFingerprint(profile),
-                     2000, 17, 10, 1};
+                     2000, 17, 10};
     std::string path = tempPath("corrupt_helper.fvcs");
     auto saved = fh::saveTraceFile(path, trace, key);
     ASSERT_FALSE(saved.has_value()) << saved->describe();

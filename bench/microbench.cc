@@ -2,7 +2,7 @@
  * @file
  * Library microbenchmarks (google-benchmark): throughput of the
  * hot paths — workload generation, cache simulation, FVC probe,
- * encoding, and profiling.
+ * encoding, profiling, and the trace store's open, write and CRC.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "cache/cache_system.hh"
 #include "core/dmc_fvc_system.hh"
@@ -26,7 +27,9 @@
 #include "sim/lane_state.hh"
 #include "sim/multi_config.hh"
 #include "sim/simd_dispatch.hh"
+#include "util/crc32.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 #include "workload/fingerprint.hh"
 #include "workload/generator.hh"
 
@@ -510,6 +513,20 @@ BENCHMARK(BM_ValueCounting)->Unit(benchmark::kMillisecond);
 constexpr uint64_t kStoreBenchAccesses = 200000;
 constexpr uint64_t kStoreBenchSeed = 81;
 
+/** The store key of gccTrace(). */
+harness::TraceKey
+gccStoreKey()
+{
+    harness::TraceKey key;
+    key.profile = "gcc";
+    key.profile_hash = workload::profileFingerprint(
+        workload::specIntProfile(workload::SpecInt::Gcc126));
+    key.accesses = kStoreBenchAccesses;
+    key.seed = kStoreBenchSeed;
+    key.top_k = 10;
+    return key;
+}
+
 /** A v3 store file of gccTrace(), written once into a private temp
  * dir (independent of FVC_TRACE_DIR, so the benchmark measures the
  * store format, not the user's environment). */
@@ -522,13 +539,7 @@ gccStorePath()
             fs::temp_directory_path() / "fvc-bench-store";
         std::error_code ec;
         fs::create_directories(dir, ec);
-        harness::TraceKey key;
-        key.profile = "gcc";
-        key.profile_hash = workload::profileFingerprint(
-            workload::specIntProfile(workload::SpecInt::Gcc126));
-        key.accesses = kStoreBenchAccesses;
-        key.seed = kStoreBenchSeed;
-        key.top_k = 10;
+        const harness::TraceKey key = gccStoreKey();
         const std::string out =
             (dir / harness::storeFileName(key)).string();
         auto err = harness::saveTraceFile(out, gccTrace(), key);
@@ -567,6 +578,51 @@ BM_TraceLoad(benchmark::State &state)
                             kStoreBenchAccesses);
 }
 BENCHMARK(BM_TraceLoad)->Unit(benchmark::kMillisecond);
+
+// The other half of the store's I/O path: checksum and write
+// gccTrace() as a cold sweep does (temp file, fsync, rename), beside
+// the file gccStorePath() holds.
+void
+BM_TraceStoreWrite(benchmark::State &state)
+{
+    const std::string path = gccStorePath() + ".write";
+    const harness::TraceKey key = gccStoreKey();
+    for (auto _ : state) {
+        auto err = harness::saveTraceFile(path, gccTrace(), key);
+        fvc_assert(!err, "bench store write failed: ",
+                   err->describe());
+    }
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    state.SetItemsProcessed(state.iterations() *
+                            kStoreBenchAccesses);
+}
+BENCHMARK(BM_TraceStoreWrite)->Unit(benchmark::kMillisecond);
+
+// The integrity check of every store open, result record, spill and
+// daemon frame, over an 8 MiB buffer (about one 400k-access store):
+// util::crc32 as dispatched (argument 1; the PCLMULQDQ fold where
+// the CPU has it) and the portable slicing-by-8 loop (argument 0).
+void
+BM_Crc32(benchmark::State &state)
+{
+    const bool dispatched = state.range(0) != 0;
+    std::vector<uint8_t> buffer(8 << 20);
+    util::Rng rng(7);
+    for (auto &byte : buffer)
+        byte = static_cast<uint8_t>(rng.next32());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            dispatched ? util::crc32(buffer.data(), buffer.size())
+                       : util::crc32Portable(buffer.data(),
+                                             buffer.size()));
+    }
+    state.SetLabel(dispatched && util::crc32Folded() ? "fold"
+                                                     : "portable");
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 // --- Host identification for the JSON context ------------------
 //

@@ -19,12 +19,12 @@
  * in-process one's. runCells hands each served FAILED cell to
  * harness::reportSweepFailures as one row naming the daemon's pid
  * (the daemon's log has the error), so FVC_STRICT=1 fails a served
- * sweep as it fails an in-process one. Only that failure table
- * reads differently: an in-process run lists failed jobs, not cells.
- * submit() survives a daemon restart: a connection that dies
- * mid-conversation is reconnected (Options::retries attempts,
- * default 3; backoff bounded by Options::timeout_ms, default
- * 2000 ms) and the whole request is resubmitted — results are pure
+ * sweep as it fails an in-process one, and either failure table
+ * lists failed cells. submit() survives a daemon restart: a
+ * connection that dies mid-conversation is reconnected
+ * (Options::retries attempts, default 3; backoff bounded by
+ * Options::timeout_ms, default 2000 ms) and the whole request is
+ * resubmitted — results are pure
  * functions of the specs and the store dedups re-asked cells, so a
  * resubmission costs a lookup, not a re-simulation.
  */

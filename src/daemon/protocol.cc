@@ -6,7 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "util/bitops.hh"
+#include "util/crc32.hh"
 #include "util/knobs.hh"
 #include "util/strings.hh"
 

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "fabric/cell.hh"
@@ -192,6 +193,18 @@ class FabricRunner
 };
 
 namespace detail {
+
+/**
+ * A worker's claim scan, in pass order: a Pending cell of a trace in
+ * @p local_traces (the traces this worker has simulated, and so
+ * maps); a Pending cell of a trace with no cell out of Pending yet
+ * (no worker has started it); any Pending cell; an expired lease of
+ * another pid. Claims the first it finds for @p pid and returns its
+ * index, or nullopt when nothing is claimable right now.
+ */
+std::optional<size_t>
+claimCell(SharedQueue &queue, uint32_t pid,
+          const std::unordered_set<uint64_t> &local_traces);
 
 /** Worker-process entry point (called in the forked child; never
  * returns to the caller's logic — the child _exits). Exposed for

@@ -69,10 +69,10 @@ faultFires(const std::string &dir, const char *kind, bool sticky)
     return true;
 }
 
-/** Claim scan: prefer Pending cells whose trace this worker has
- * already simulated (and therefore maps), then any Pending cell,
- * then steal an expired lease. Returns nullopt when nothing is
- * claimable right now. */
+} // namespace
+
+namespace detail {
+
 std::optional<size_t>
 claimCell(SharedQueue &queue, uint32_t pid,
           const std::unordered_set<uint64_t> &local_traces)
@@ -87,14 +87,30 @@ claimCell(SharedQueue &queue, uint32_t pid,
         if (queue.tryClaim(i, pid))
             return i;
     }
-    // Pass 2: any pending cell.
+    // Pass 2: spread — a cell of a trace no worker has started, so
+    // workers begin on different traces and pass 1 keeps each one
+    // there.
+    std::unordered_set<uint64_t> started;
+    for (size_t i = 0; i < n; ++i) {
+        if (queue.load(i).state != CellState::Pending)
+            started.insert(queue.profileHash(i));
+    }
+    for (size_t i = 0; i < n; ++i) {
+        if (queue.load(i).state != CellState::Pending)
+            continue;
+        if (started.count(queue.profileHash(i)))
+            continue;
+        if (queue.tryClaim(i, pid))
+            return i;
+    }
+    // Pass 3: any pending cell.
     for (size_t i = 0; i < n; ++i) {
         if (queue.load(i).state != CellState::Pending)
             continue;
         if (queue.tryClaim(i, pid))
             return i;
     }
-    // Pass 3: steal an expired lease (owner crashed or hung).
+    // Pass 4: steal an expired lease (owner crashed or hung).
     const uint64_t now = monotonicMs();
     for (size_t i = 0; i < n; ++i) {
         SlotCtl ctl = queue.load(i);
@@ -107,10 +123,6 @@ claimCell(SharedQueue &queue, uint32_t pid,
     }
     return std::nullopt;
 }
-
-} // namespace
-
-namespace detail {
 
 int
 runWorkerProcess(SharedQueue &queue,

@@ -347,7 +347,8 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
         miss_results = std::move(outcome.results);
     } else if (!miss_indices.empty()) {
         // Thread backend: the whole plan is one sweep, and a failed
-        // unit fails exactly its own cells.
+        // unit fails exactly its own cells. The report lists those
+        // cells, as the fabric's does.
         std::vector<fabric::CellSpec> misses;
         misses.reserve(miss_indices.size());
         for (size_t idx : miss_indices)
@@ -367,12 +368,26 @@ ResultRepository::runCells(const std::vector<fabric::CellSpec> &cells,
                     fabric::simulateCell(group.front())};
             });
         }
-        auto results = harness::runDegraded(sweep, what);
+        auto outcome = sweep.runChecked();
+        std::vector<harness::JobFailure> failures;
+        for (const auto &failure : outcome.failures) {
+            for (size_t k : plan[failure.index].cells) {
+                failures.push_back(
+                    {k, misses[k].describe() + ": " + failure.message});
+            }
+        }
+        if (!failures.empty()) {
+            std::sort(failures.begin(), failures.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.index < b.index;
+                      });
+            harness::reportSweepFailures(failures, misses.size(), what);
+        }
         for (size_t u = 0; u < plan.size(); ++u) {
-            if (!results[u])
+            if (!outcome.results[u])
                 continue;
             for (size_t j = 0; j < plan[u].cells.size(); ++j)
-                miss_results[plan[u].cells[j]] = (*results[u])[j];
+                miss_results[plan[u].cells[j]] = (*outcome.results[u])[j];
         }
     }
 

@@ -152,8 +152,10 @@ struct StoreMeta
 };
 
 /**
- * Write a v3 store file: build the image in memory, write it to a
- * temp file next to @p path, fsync, and rename into place.
+ * Write a v3 store file: checksum each section and chunk block over
+ * its source spans, write the metadata and then the spans in file
+ * order to a temp file next to @p path (no image of the whole file
+ * is built), fsync, and rename into place.
  * @return std::nullopt on success, the failure otherwise.
  */
 std::optional<util::Error>

@@ -6,11 +6,9 @@
 #ifndef FVC_UTIL_BITOPS_HH_
 #define FVC_UTIL_BITOPS_HH_
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "util/logging.hh"
 
@@ -70,62 +68,6 @@ constexpr uint64_t
 divCeil(uint64_t a, uint64_t b)
 {
     return (a + b - 1) / b;
-}
-
-/**
- * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over @p len bytes.
- * Pass a previous return value as @p crc to checksum incrementally.
- * Used by the trace-file chunk framing; any single-bit corruption
- * of a checksummed chunk is guaranteed to be detected.
- */
-inline uint32_t
-crc32(const void *data, size_t len, uint32_t crc = 0)
-{
-    // Slicing-by-8: eight derived tables let the hot loop fold
-    // eight input bytes per iteration instead of one, which matters
-    // because MappedStore::open checksums every byte of a
-    // multi-megabyte trace file before serving it. Table 0 alone is
-    // the classic byte-at-a-time table, used for the tail and on
-    // big-endian hosts; every path computes identical CRC values.
-    static const auto tables = [] {
-        std::array<std::array<uint32_t, 256>, 8> t{};
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
-            t[0][i] = c;
-        }
-        for (uint32_t i = 0; i < 256; ++i) {
-            for (size_t j = 1; j < t.size(); ++j) {
-                t[j][i] = (t[j - 1][i] >> 8) ^
-                          t[0][t[j - 1][i] & 0xff];
-            }
-        }
-        return t;
-    }();
-    const auto *p = static_cast<const uint8_t *>(data);
-    crc = ~crc;
-    if constexpr (std::endian::native == std::endian::little) {
-        while (len >= 8) {
-            uint32_t lo, hi;
-            std::memcpy(&lo, p, 4);
-            std::memcpy(&hi, p + 4, 4);
-            lo ^= crc;
-            crc = tables[7][lo & 0xff] ^
-                  tables[6][(lo >> 8) & 0xff] ^
-                  tables[5][(lo >> 16) & 0xff] ^
-                  tables[4][lo >> 24] ^
-                  tables[3][hi & 0xff] ^
-                  tables[2][(hi >> 8) & 0xff] ^
-                  tables[1][(hi >> 16) & 0xff] ^
-                  tables[0][hi >> 24];
-            p += 8;
-            len -= 8;
-        }
-    }
-    for (size_t i = 0; i < len; ++i)
-        crc = tables[0][(crc ^ p[i]) & 0xff] ^ (crc >> 8);
-    return ~crc;
 }
 
 } // namespace fvc::util

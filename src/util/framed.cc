@@ -6,7 +6,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "util/bitops.hh"
+#include "util/crc32.hh"
 #include "util/mmap_file.hh"
 
 namespace fvc::util {

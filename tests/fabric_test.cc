@@ -266,6 +266,40 @@ TEST(SharedQueueTest, DemoteUnpublishedRequeuesDoneCell)
     EXPECT_EQ(queue.load(0).attempts, 1u);
 }
 
+// --- claim order -------------------------------------------------
+
+TEST(FabricClaimTest, PrefersAnUnstartedTrace)
+{
+    // Cells 0 and 1 replay trace A, cells 2 and 3 trace B, and
+    // another worker (pid 10) holds cell 0.
+    TempDir dir;
+    constexpr uint64_t kTraceA = 0xa, kTraceB = 0xb;
+    auto makeQueue = [&dir](const std::string &name) {
+        const std::vector<fb::CellSeed> seeds = {
+            {kTraceA, 1}, {kTraceA, 2}, {kTraceB, 3}, {kTraceB, 4}};
+        auto created =
+            fb::SharedQueue::create(dir.file(name), seeds, 3, 60000, 1);
+        EXPECT_TRUE(created.ok()) << created.error().describe();
+        fb::SharedQueue queue = std::move(created.value());
+        EXPECT_TRUE(queue.tryClaim(0, 10));
+        return queue;
+    };
+
+    // A fresh worker starts trace B rather than join trace A.
+    fb::SharedQueue spread = makeQueue("queue-1.fvcq");
+    const auto fresh = fb::detail::claimCell(spread, 11, {});
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_EQ(spread.profileHash(*fresh), kTraceB);
+    EXPECT_EQ(*fresh, 2u);
+
+    // A worker that already maps trace A stays on it: locality
+    // comes before spreading.
+    fb::SharedQueue local = makeQueue("queue-2.fvcq");
+    const auto mapped = fb::detail::claimCell(local, 12, {kTraceA});
+    ASSERT_TRUE(mapped.has_value());
+    EXPECT_EQ(*mapped, 1u);
+}
+
 // --- spill unit tests -------------------------------------------
 
 TEST(SpillTest, RoundTripsRecordsWithHeader)

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -862,6 +863,45 @@ TEST(ResultRepositoryTest, PlanDispatchCoversEveryCellOnce)
             EXPECT_EQ(again[u].lane, plan[u].lane);
         }
     }
+}
+
+TEST(ResultRepositoryTest, FailureTableListsEveryFailedCell)
+{
+    // A failed plan unit fails every cell in it, and the failure
+    // table names each of them: one row per FAILED cell, not one
+    // per unit.
+    EnvGuard env;
+    const auto cells = dispatchGrid(20000);
+    const size_t current = fh::detail::nextGlobalSweepIndex();
+    EnvGuard::set("FVC_FAULT_SPEC",
+                  "sweep_job=" + std::to_string(current + 1));
+    frc::ResultRepository repo;
+    ::testing::internal::CaptureStdout();
+    const auto results = repo.runCells(cells, "doomed plan sweep");
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EnvGuard::unset("FVC_FAULT_SPEC");
+
+    size_t failed = 0;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (results[i])
+            continue;
+        ++failed;
+        std::string row = "#";
+        row.append(std::to_string(i)).append(" | ");
+        EXPECT_NE(out.find(row), std::string::npos) << row << "\n" << out;
+        EXPECT_NE(out.find(cells[i].describe()), std::string::npos)
+            << cells[i].describe() << "\n" << out;
+    }
+    ASSERT_GT(failed, 1u) << "the first unit is a lane group";
+
+    size_t rows = 0;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+        const size_t cell = line.find_first_not_of("| ");
+        rows += line.rfind("|", 0) == 0 && cell != std::string::npos &&
+                line[cell] == '#';
+    }
+    EXPECT_EQ(rows, failed) << out;
 }
 
 TEST(ResultRepositoryTest, SplitPlanMatchesDirectSimulation)

@@ -411,6 +411,42 @@ TEST(TraceStoreTest, ContentKeysArePinned)
     EXPECT_EQ(fh::storeFileName(gcc), "126.gcc-ece88b82638ba417.fvcs");
 }
 
+namespace {
+
+/** Bit-at-a-time CRC-32 (0xEDB88320): a checksum of whole files
+ * that shares no code with the writer's util::crc32. */
+uint32_t
+bitwiseCrc32(const std::vector<char> &bytes)
+{
+    uint32_t crc = ~0u;
+    for (char c : bytes) {
+        crc ^= static_cast<uint8_t>(c);
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0u);
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(TraceStoreTest, WrittenBytesArePinned)
+{
+    // Every store already on disk was written by earlier writers; a
+    // writer change that moves one byte orphans them all, so it has
+    // to edit these literals.
+    EnvGuard env;
+    TempDir dir;
+    auto profile = fw::specIntProfile(fw::SpecInt::Gcc126);
+    auto trace = fh::prepareTrace(profile, 20000, 0);
+    auto key = makeKey(profile, 20000, 0);
+    const std::string path = dir.file(fh::storeFileName(key));
+    ASSERT_FALSE(fh::saveTraceFile(path, trace, key).has_value());
+
+    const std::vector<char> bytes = readAll(path);
+    EXPECT_EQ(bytes.size(), 1064560u);
+    EXPECT_EQ(bitwiseCrc32(bytes), 0x2abe82d4u);
+}
+
 TEST(TraceStoreTest, FileNamesAreSanitized)
 {
     auto profile = fw::specIntProfile(fw::SpecInt::Gcc126);

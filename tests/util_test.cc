@@ -1,16 +1,21 @@
 /**
  * @file
- * Unit tests for the util module: bitops, RNG, distributions,
- * stats, strings, and the table renderer.
+ * Unit tests for the util module: bitops, CRC-32, RNG,
+ * distributions, stats, strings, and the table renderer.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
+#include <vector>
 
 #include "util/bitops.hh"
+#include "util/crc32.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/strings.hh"
@@ -62,6 +67,100 @@ TEST(BitopsTest, Alignment)
     EXPECT_EQ(fu::alignUp(0x1230, 16), 0x1230ull);
     EXPECT_EQ(fu::divCeil(10, 3), 4ull);
     EXPECT_EQ(fu::divCeil(9, 3), 3ull);
+}
+
+namespace {
+
+/** A buffer of random bytes whose start is 16-byte aligned, so
+ * base() + k starts at alignment k. */
+class RandomBytes
+{
+  public:
+    RandomBytes(size_t bytes, uint64_t seed) : store_(bytes + 16)
+    {
+        fu::Rng rng(seed);
+        for (size_t i = 0; i + 8 <= store_.size(); i += 8) {
+            const uint64_t word = rng.next64();
+            std::memcpy(store_.data() + i, &word, sizeof(word));
+        }
+    }
+
+    const uint8_t *
+    base() const
+    {
+        const auto addr = reinterpret_cast<uintptr_t>(store_.data());
+        return store_.data() + (16 - addr % 16) % 16;
+    }
+
+  private:
+    std::vector<uint8_t> store_;
+};
+
+} // namespace
+
+TEST(Crc32Test, KnownAnswers)
+{
+    EXPECT_EQ(fu::crc32("", 0), 0u);
+    EXPECT_EQ(fu::crc32Portable("", 0), 0u);
+    EXPECT_EQ(fu::crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(fu::crc32Portable("123456789", 9), 0xcbf43926u);
+}
+
+TEST(Crc32Test, FoldIsDispatchedWhereTheCpuHasIt)
+{
+    // A fold compiled out (a lost target attribute, a wrong guard)
+    // would fall back to the table loop with equal values; only
+    // this check would notice.
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    EXPECT_EQ(fu::crc32Folded(), __builtin_cpu_supports("pclmul") &&
+                                     __builtin_cpu_supports("sse4.1"));
+#else
+    EXPECT_FALSE(fu::crc32Folded());
+#endif
+}
+
+TEST(Crc32Test, FoldMatchesPortableAtEveryAlignment)
+{
+    constexpr size_t kMiB = size_t{1} << 20;
+    const RandomBytes bytes(8 * kMiB + 16, 0xc4c32);
+    fu::Rng rng(41);
+    for (size_t align = 0; align < 16; ++align) {
+        const uint8_t *p = bytes.base() + align;
+        for (int trial = 0; trial < 64; ++trial) {
+            const size_t len = rng.below(4097);
+            const uint32_t seed = rng.next32();
+            ASSERT_EQ(fu::crc32(p, len, seed),
+                      fu::crc32Portable(p, len, seed))
+                << "align " << align << " len " << len;
+        }
+        const size_t len = kMiB + rng.below(7 * kMiB + 1);
+        const uint32_t seed = rng.next32();
+        ASSERT_EQ(fu::crc32(p, len, seed),
+                  fu::crc32Portable(p, len, seed))
+            << "align " << align << " len " << len;
+    }
+}
+
+TEST(Crc32Test, ChainedSpansEqualOneCall)
+{
+    const RandomBytes bytes((3 << 20) + 16, 0x5b11);
+    fu::Rng rng(43);
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t len = trial < 190 ? rng.below(8193)
+                                       : rng.below(3 << 20) + 1;
+        const uint8_t *p = bytes.base() + rng.below(16);
+        std::vector<size_t> cuts = {0, len};
+        for (uint64_t k = rng.below(5); k > 0; --k)
+            cuts.push_back(rng.below(len + 1));
+        std::sort(cuts.begin(), cuts.end());
+        uint32_t chained = 0;
+        for (size_t c = 1; c < cuts.size(); ++c) {
+            chained = fu::crc32(p + cuts[c - 1], cuts[c] - cuts[c - 1],
+                                chained);
+        }
+        ASSERT_EQ(chained, fu::crc32(p, len)) << "len " << len;
+    }
 }
 
 TEST(RngTest, DeterministicFromSeed)

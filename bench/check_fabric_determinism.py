@@ -10,8 +10,8 @@ Runs the Figure 13 sweep (the figure wired through the fabric) once
 serially (FVC_WORKERS unset) and once per requested worker count
 (default 1, 2 and 4), each with its own FVC_CSV_DIR, then demands
 the stdout table and every exported CSV be byte-identical to the
-serial run. The fabric's whole contract is that forking, lease
-stealing and spill merging are invisible in the output; any
+serial run. The fabric's whole contract is that forking, claiming,
+requeueing and spill merging are invisible in the output; any
 drift — row ordering, a dropped cell, a float formatting change —
 fails this gate before it can land.
 

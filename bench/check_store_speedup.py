@@ -24,23 +24,17 @@ import argparse
 import json
 import sys
 
+import gatelib
+
 LOAD = "BM_TraceLoad"
 COLD = "BM_TracePrepareCold"
 
 
 def load_times(path):
-    """Map benchmark name -> cpu_time from a google-benchmark JSON."""
+    """Map benchmark name -> cpu_time (a repeated row at its median)
+    from a google-benchmark JSON file."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    times = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name")
-        time = bench.get("cpu_time")
-        if name is not None and time is not None:
-            times[name] = float(time)
-    return times
+        return gatelib.bench_times(json.load(f))
 
 
 def check_speedup(times, min_speedup):

@@ -21,6 +21,8 @@ import argparse
 import json
 import sys
 
+import gatelib
+
 # The hot paths whose regressions block: the replay engines and the
 # encoders dominate every sweep bench's wall clock.
 DEFAULT_HOT = [
@@ -34,19 +36,10 @@ DEFAULT_HOT = [
 
 
 def load_times(path):
-    """Map benchmark name -> cpu_time from a google-benchmark JSON."""
+    """Map benchmark name -> cpu_time (a repeated row at its median)
+    from a google-benchmark JSON file."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    times = {}
-    for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev repetitions).
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name")
-        time = bench.get("cpu_time")
-        if name is not None and time is not None:
-            times[name] = float(time)
-    return times
+        return gatelib.bench_times(json.load(f))
 
 
 # Run-context keys that must match for two result files to be
@@ -59,7 +52,7 @@ def load_times(path):
 #   fvc_simd_isa     - sweep wall clock moves with the dispatched
 #                      vector width; older files predate the lane
 #                      kernel, so the scalar loop ran ("scalar").
-#   fvc_workers      - a fabric run pays fork, lease and spill
+#   fvc_workers      - a fabric run pays fork, claim and spill
 #                      overhead the in-process path never sees;
 #                      older files predate the fabric ("serial").
 #   fvc_result_cache - a warm result cache serves sweeps without

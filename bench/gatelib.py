@@ -5,9 +5,12 @@ CSV it exports to FVC_CSV_DIR. Every run gets a hermetic environment,
 the caller's minus every FVC_* knob plus only the knobs the gate
 pins, so no inherited knob (a daemon socket, a result store, a fault
 spec) can pass or fail a gate for reasons unrelated to the code.
+The gates that judge microbenchmark results read them one way
+(bench_times): a row recorded with repetitions counts at its median.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +23,27 @@ def hermetic_env(base, pinned):
     env = {k: v for k, v in base.items() if not k.startswith("FVC_")}
     env.update({k: str(v) for k, v in pinned.items() if v is not None})
     return env
+
+
+def bench_times(doc):
+    """Map benchmark name -> cpu_time from a google-benchmark JSON
+    document. A row recorded with repetitions reads at its median
+    aggregate, under its name without the "/repeats:N" that
+    ->Repetitions() appends; its other aggregates (mean, stddev, cv)
+    are skipped."""
+    times, medians = {}, {}
+    for bench in doc.get("benchmarks", []):
+        name = re.sub(r"/repeats:\d+$", "",
+                      bench.get("run_name", bench.get("name", "")))
+        time = bench.get("cpu_time")
+        if not name or time is None:
+            continue
+        if bench.get("run_type") != "aggregate":
+            times[name] = float(time)
+        elif bench.get("aggregate_name") == "median":
+            medians[name] = float(time)
+    times.update(medians)
+    return times
 
 
 def gather_run(label, stdout_bytes, csv_dir):
@@ -123,7 +147,22 @@ def self_test():
         bundle = gather_run("t", b"out", d)
         assert bundle["csvs"] == {"x.csv": b"x\n"}, bundle
 
-    # 5. The hermetic environment drops every inherited FVC_* knob,
+    # 5. A repeated row reads at its median, whatever its last
+    #    repetition or its mean; a single row reads as recorded.
+    doc = {"benchmarks": [
+        {"name": "BM_One", "run_type": "iteration", "cpu_time": 4.0},
+        *({"name": "BM_Rep/repeats:3", "run_name": "BM_Rep/repeats:3",
+           "run_type": "iteration", "cpu_time": t} for t in (2, 9, 1)),
+        *({"name": "BM_Rep/repeats:3_" + agg,
+           "run_name": "BM_Rep/repeats:3",
+           "run_type": "aggregate", "aggregate_name": agg,
+           "cpu_time": t}
+          for agg, t in (("mean", 4.0), ("median", 2.0),
+                         ("stddev", 4.4), ("cv", 1.1))),
+    ]}
+    assert bench_times(doc) == {"BM_One": 4.0, "BM_Rep": 2.0}, doc
+
+    # 6. The hermetic environment drops every inherited FVC_* knob,
     #    pins the given ones as strings, skips None, keeps the rest.
     env = hermetic_env({"FVC_SIMD": "off", "PATH": "/bin"},
                        {"FVC_JOBS": 8, "FVC_WORKERS": None})

@@ -48,7 +48,6 @@ class VictimCache
     std::vector<EvictedLine> flush();
 
     uint32_t entries() const { return entries_; }
-    uint32_t lineBytes() const { return line_bytes_; }
     uint32_t validLines() const { return valid_; }
 
     /** Total storage cost in bits (tags + state + data). */

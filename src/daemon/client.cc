@@ -425,7 +425,19 @@ std::vector<std::optional<fabric::CellStats>>
 runCells(const std::vector<fabric::CellSpec> &cells,
          const std::string &what)
 {
-    const DaemonMode mode = daemonMode();
+    DaemonMode mode = daemonMode();
+    // A reply cannot say which cells the daemon simulated, so a warm
+    // expectation is checked in-process, against this client's own
+    // store.
+    if (mode != DaemonMode::Off && resultcache::expectWarm()) {
+        if (mode == DaemonMode::On) {
+            fvc_fatal("FVC_DAEMON=on cannot serve ", what,
+                      " under FVC_RESULT_EXPECT_WARM=1: a served "
+                      "reply cannot show that no cell was simulated; "
+                      "the flag holds in-process only");
+        }
+        mode = DaemonMode::Off;
+    }
     if (mode != DaemonMode::Off) {
         Client::Options options;
         // Auto probes once and falls back fast; On spends the full

@@ -13,6 +13,11 @@
  *    3 attempts are fatal (the acceptance-gate mode — accidental
  *    in-process fallback must not pass for a daemon-served run).
  *
+ * FVC_RESULT_EXPECT_WARM=1 is an in-process check, as FVC_STRICT=1
+ * is a client-side one: a reply cannot say which cells the daemon
+ * simulated, so "auto" resolves such a sweep in-process against the
+ * client's own store, and "on" refuses it.
+ *
  * The daemon performs the exact ResultRepository::runCells call the
  * client would have made, so a daemon-served sweep's results, and
  * with them its tables and CSVs, are byte-identical to an

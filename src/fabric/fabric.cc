@@ -3,13 +3,14 @@
  * The fabric coordinator: fork, supervise, reclaim, merge.
  *
  * See fabric.hh for the contract. The coordinator's supervise loop
- * is deliberately simple — reap children, reclaim expired leases
- * (SIGKILLing live-but-stuck owners first; SIGKILL works on a
- * SIGSTOPped process), respawn replacements while work remains, and
- * validate at the completion barrier that every Done cell is backed
- * by a CRC-valid record, demoting the ones that are not. Between
- * passes it sleeps until a worker exits (poll on one pidfd per
- * unreaped worker) or the lease-derived poll period passes, so a
+ * is deliberately simple — reap children and requeue a reaped
+ * worker's claims, SIGKILL a worker that is stopped or whose cell
+ * ran past the budget (SIGKILL works on a stopped process; its
+ * claims are requeued when it is reaped), respawn replacements
+ * while work remains, and validate at the completion barrier that
+ * every Done cell is backed by a CRC-valid record, demoting the
+ * ones that are not. Between passes it sleeps until a worker exits
+ * (poll on one pidfd per unreaped worker) or kPollMs passes, so a
  * run ends as soon as its workers have published. All result truth
  * lives in the spill records; the queue is only scheduling state and
  * is discarded at the end.
@@ -43,6 +44,10 @@
 namespace fvc::fabric {
 
 namespace {
+
+/** The supervise loop's period when no worker exits: the cadence of
+ * stop and budget checks and of respawns. */
+constexpr uint64_t kPollMs = 50;
 
 bool
 pidAlive(pid_t pid)
@@ -127,6 +132,8 @@ struct WorkerProc
      * polling it would spin. */
     PidFd pidfd;
     bool alive = true;
+    /** SIGKILLed by the coordinator (each worker at most once). */
+    bool killed = false;
 };
 
 /** Sleep up to @p ms, waking early when an unreaped worker exits.
@@ -234,12 +241,6 @@ configuredWorkers()
     return static_cast<unsigned>(workers);
 }
 
-uint64_t
-leaseMs()
-{
-    return util::knobCount("FVC_LEASE_MS", 2000, 20, 86400000);
-}
-
 unsigned
 sweepRetries()
 {
@@ -327,8 +328,6 @@ FabricRunner::run()
     const unsigned workers = std::max(
         1u, options_.workers ? options_.workers
                              : configuredWorkers().value_or(1));
-    const uint64_t lease =
-        options_.lease_ms ? options_.lease_ms : leaseMs();
     const unsigned retries = options_.retries
                                  ? *options_.retries
                                  : sweepRetries();
@@ -351,8 +350,7 @@ FabricRunner::run()
     const std::string queue_path =
         dir + "/queue-" + std::to_string(::getpid()) + ".fvcq";
     auto created = SharedQueue::create(queue_path, seeds,
-                                       retries + 1, lease,
-                                       out.run_id);
+                                       retries + 1, out.run_id);
     if (!created.ok()) {
         for (size_t i = 0; i < n; ++i) {
             out.failures.push_back(
@@ -394,20 +392,31 @@ FabricRunner::run()
     for (unsigned i = 0; i < std::min<size_t>(workers, n); ++i)
         spawnWorker();
 
-    const uint64_t poll_ms =
-        std::clamp<uint64_t>(lease / 8, 2, 50);
+    auto killWorker = [&](WorkerProc &proc) {
+        if (proc.killed)
+            return;
+        ::kill(proc.pid, SIGKILL);
+        proc.killed = true;
+        ++out.kills;
+    };
     auto reap = [&] {
         for (auto &proc : procs) {
             if (!proc.alive)
                 continue;
             int status = 0;
-            if (::waitpid(proc.pid, &status, WNOHANG) != proc.pid)
+            if (::waitpid(proc.pid, &status, WNOHANG | WUNTRACED) !=
+                proc.pid)
                 continue;
+            if (WIFSTOPPED(status)) {
+                // A stopped worker never resumes on its own; its
+                // claims are requeued once it is reaped.
+                killWorker(proc);
+                continue;
+            }
             proc.alive = false;
             proc.pidfd.reset();
-            // The death is known now: requeue the dead worker's
-            // leases instead of waiting out their deadlines. The
-            // pid-checked release leaves a lease a peer stole alone.
+            // The owner is dead, so nothing can complete its claims
+            // any more: requeue them.
             const auto pid = static_cast<uint32_t>(proc.pid);
             for (size_t i = 0; i < n; ++i) {
                 if (queue.releaseFailed(i, pid))
@@ -415,28 +424,27 @@ FabricRunner::run()
             }
         }
     };
+    const uint64_t budget_ms = jobTimeoutMs();
 
     for (;;) {
         reap();
 
-        // Reclaim expired leases; SIGKILL a live owner first (a
-        // SIGSTOPped or wedged worker won't die any other way).
-        const uint64_t now = monotonicMs();
-        for (size_t i = 0; i < n; ++i) {
-            SlotCtl ctl = queue.load(i);
-            if (ctl.state != CellState::Leased ||
-                queue.deadline(i) > now)
-                continue;
-            for (auto &proc : procs) {
-                if (proc.alive &&
-                    static_cast<uint32_t>(proc.pid) == ctl.pid) {
-                    ::kill(proc.pid, SIGKILL);
-                    ++out.kills;
-                    break;
+        // Kill the owner of a claim that ran past the per-cell
+        // budget; its claim is requeued when it is reaped.
+        if (budget_ms > 0) {
+            const uint64_t now = monotonicMs();
+            for (size_t i = 0; i < n; ++i) {
+                const SlotCtl ctl = queue.load(i);
+                const uint64_t claimed = queue.claimedAt(i);
+                if (ctl.state != CellState::Leased || now <= claimed ||
+                    now - claimed <= budget_ms)
+                    continue;
+                for (auto &proc : procs) {
+                    if (proc.alive &&
+                        static_cast<uint32_t>(proc.pid) == ctl.pid)
+                        killWorker(proc);
                 }
             }
-            if (queue.reclaimExpired(i, now))
-                ++out.reclaims;
         }
 
         if (queue.complete()) {
@@ -473,27 +481,20 @@ FabricRunner::run()
                     ++out.respawns;
             } else if (live == 0) {
                 // Fork keeps failing (or a pathological respawn
-                // storm): fail the remaining cells rather than
-                // spin forever.
-                for (size_t i = 0; i < n; ++i) {
-                    SlotCtl ctl = queue.load(i);
-                    if (ctl.state == CellState::Pending ||
-                        ctl.state == CellState::Leased)
-                        queue.reclaimExpired(i, UINT64_MAX);
-                }
+                // storm): the cells still open are reported FAILED
+                // rather than spin forever.
                 break;
             }
         }
 
         // Wake for the next pass when a worker exits (the queue
-        // completed, or a worker died) or after poll_ms, so lease
-        // reclaim and respawn still run at that cadence.
-        waitForExit(procs, poll_ms);
+        // completed, or a worker died) or after kPollMs, so stop
+        // and budget checks and respawns still run at that cadence.
+        waitForExit(procs, kPollMs);
     }
 
     // Drain: give workers a moment to publish and exit; SIGKILL
-    // wedged stragglers (e.g. a SIGSTOPped worker whose cell was
-    // stolen).
+    // stragglers.
     queue.requestShutdown();
     const uint64_t grace_end = monotonicMs() + 500;
     for (;;) {
@@ -504,13 +505,12 @@ FabricRunner::run()
         const uint64_t now = monotonicMs();
         if (!any || now >= grace_end)
             break;
-        waitForExit(procs, std::min(poll_ms, grace_end - now));
+        waitForExit(procs, std::min(kPollMs, grace_end - now));
     }
     for (auto &proc : procs) {
         if (!proc.alive)
             continue;
-        ::kill(proc.pid, SIGKILL);
-        ++out.kills;
+        killWorker(proc);
         ::waitpid(proc.pid, nullptr, 0);
         proc.alive = false;
     }

@@ -4,21 +4,22 @@
  *
  * FabricRunner is the process backend beside harness::SweepRunner's
  * thread pool: a coordinator forks FVC_WORKERS worker processes
- * that share one file-backed lease queue (queue.hh) and the
+ * that share one file-backed work queue (queue.hh) and the
  * content-keyed trace store, simulate cells independently, and
  * stream results into CRC-framed spill files (spill.hh). The
  * robustness contract (DESIGN.md "Sweep fabric"):
  *
- *  - Every cell is leased, never given away: a worker that dies
- *    (SIGKILL, OOM), hangs (SIGSTOP, wedged loop), runs past the
- *    FVC_JOB_TIMEOUT_MS per-cell budget, or silently exits simply
- *    stops renewing its lease, and the cell is re-queued — stolen
- *    by an idle worker or reclaimed by the coordinator, which also
- *    SIGKILLs the stuck owner. (The thread backend has no such
- *    budget: a thread cannot be killed.)
- *  - Results publish at-most-once: a slot's steal-guard sequence
- *    number invalidates the loser's markDone, and duplicate or
- *    CRC-rejected records are discarded at merge.
+ *  - The coordinator alone decides that a cell is lost, from what
+ *    it knows of its own children: a worker that dies (SIGKILL,
+ *    OOM, a silent exit) is reaped; a stopped one (SIGSTOP) is
+ *    reported by waitpid and SIGKILLed; one whose cell runs past
+ *    the FVC_JOB_TIMEOUT_MS per-cell budget is SIGKILLed. Either
+ *    way, once the owner is reaped its claims are requeued. (The
+ *    thread backend has no such budget: a thread cannot be
+ *    killed.)
+ *  - Results publish at-most-once: a claim is requeued only after
+ *    its owner is dead, and duplicate or CRC-rejected records are
+ *    discarded at merge.
  *  - Re-queues are bounded by the FVC_RETRIES budget; an exhausted
  *    cell degrades to a FAILED report (a harness::JobFailure),
  *    exactly like a failed job of harness::runDegraded.
@@ -54,18 +55,14 @@ namespace fvc::fabric {
  */
 std::optional<unsigned> configuredWorkers();
 
-/** FVC_LEASE_MS: lease duration in ms (20..86,400,000; default
- * 2000). Short leases reclaim crashes faster but tolerate less
- * scheduling jitter before a false steal. */
-uint64_t leaseMs();
-
 /** FVC_RETRIES: extra attempts per cell (0..249; default 2). The
  * queue keeps attempts in a byte and caps the total at 250. */
 unsigned sweepRetries();
 
-/** FVC_JOB_TIMEOUT_MS: per-cell wall-clock budget in ms; 0 (the
- * default) disables it. A worker over budget stops renewing its
- * lease, so the coordinator kills it and re-queues the cell. */
+/** FVC_JOB_TIMEOUT_MS: per-cell wall-clock budget in ms, counted
+ * from the claim; 0 (the default) disables it. The coordinator
+ * SIGKILLs the owner of a claim over budget and re-queues the cell
+ * when it reaps the owner. */
 uint64_t jobTimeoutMs();
 
 /**
@@ -137,9 +134,10 @@ struct FabricOutcome
     uint64_t checkpoint_hits = 0;
     /** Records produced by this run's workers. */
     uint64_t simulated = 0;
-    /** Expired leases re-queued by the coordinator. */
+    /** Claims of reaped workers re-queued by the coordinator. */
     uint64_t reclaims = 0;
-    /** Stuck worker processes SIGKILLed by the coordinator. */
+    /** Worker processes SIGKILLed by the coordinator (stopped,
+     * over budget, or outliving the drain). */
     uint64_t kills = 0;
     /** Replacement workers forked after a death. */
     uint64_t respawns = 0;
@@ -156,8 +154,6 @@ struct FabricOptions
 {
     /** Worker process count; 0 = configuredWorkers() or 1. */
     unsigned workers = 0;
-    /** Lease in ms; 0 = leaseMs(). */
-    uint64_t lease_ms = 0;
     /** Extra attempts per cell; nullopt = sweepRetries(). (Max
      * attempts = retries + 1.) */
     std::optional<unsigned> retries;
@@ -182,8 +178,11 @@ class FabricRunner
     size_t pending() const { return cells_.size(); }
 
     /**
-     * Fork the workers, supervise leases, merge results. The
-     * runner is empty afterwards and can be reused.
+     * Fork the workers, supervise them, merge results. The runner
+     * is empty afterwards and can be reused. Each worker dies with
+     * the thread that forked it (PR_SET_PDEATHSIG); run() reaps
+     * every worker before it returns, so it may run on a thread
+     * that exits afterwards, as the daemon's batch thread does.
      */
     FabricOutcome run();
 
@@ -198,17 +197,18 @@ namespace detail {
  * A worker's claim scan, in pass order: a Pending cell of a trace in
  * @p local_traces (the traces this worker has simulated, and so
  * maps); a Pending cell of a trace with no cell out of Pending yet
- * (no worker has started it); any Pending cell; an expired lease of
- * another pid. Claims the first it finds for @p pid and returns its
- * index, or nullopt when nothing is claimable right now.
+ * (no worker has started it); any Pending cell. Claims the first it
+ * finds for @p pid and returns its index, or nullopt when nothing
+ * is claimable right now.
  */
 std::optional<size_t>
 claimCell(SharedQueue &queue, uint32_t pid,
           const std::unordered_set<uint64_t> &local_traces);
 
-/** Worker-process entry point (called in the forked child; never
- * returns to the caller's logic — the child _exits). Exposed for
- * the fvc_fabric driver's --worker self-test mode. */
+/** Worker-process entry point, called in the forked child straight
+ * after fork; the child _exits with its return value. Returns at
+ * once when the coordinator that created @p queue is no longer the
+ * parent. */
 int runWorkerProcess(SharedQueue &queue,
                      const std::vector<CellSpec> &cells,
                      unsigned worker_id, const std::string &dir);

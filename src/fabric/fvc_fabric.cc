@@ -8,8 +8,8 @@
  *   FVC_WORKERS=4 ./fvc_fabric
  *   FVC_WORKERS=2 FVC_FAULT_SPEC=kill_cell=3 ./fvc_fabric
  *
- * Knobs: FVC_WORKERS (process count), FVC_LEASE_MS (lease length),
- * FVC_FABRIC_DIR (scratch dir), FVC_FAULT_SPEC
+ * Knobs: FVC_WORKERS (process count), FVC_JOB_TIMEOUT_MS (per-cell
+ * budget), FVC_FABRIC_DIR (scratch dir), FVC_FAULT_SPEC
  * (kill_cell= / hang_cell= / corrupt_spill= fault injection), plus
  * the usual trace knobs (FVC_TRACE_ACCESSES, FVC_TRACE_DIR).
  */
@@ -68,7 +68,6 @@ main(int argc, char **argv)
     const unsigned workers =
         fabric::configuredWorkers().value_or(1);
     harness::note("workers=" + std::to_string(workers) +
-                  " lease_ms=" + std::to_string(fabric::leaseMs()) +
                   " dir=" + fabric::fabricDir());
 
     fabric::FabricRunner runner;

@@ -17,7 +17,7 @@ namespace fvc::fabric {
 namespace {
 
 constexpr uint32_t kQueueMagic = 0x46564351; // "FVCQ"
-constexpr uint32_t kQueueVersion = 1;
+constexpr uint32_t kQueueVersion = 2;
 
 std::atomic<uint64_t> &
 atomicRef(uint64_t &word)
@@ -37,7 +37,6 @@ packCtl(SlotCtl ctl)
 {
     return static_cast<uint64_t>(ctl.state) |
            (static_cast<uint64_t>(ctl.attempts) << 8) |
-           (static_cast<uint64_t>(ctl.seq) << 16) |
            (static_cast<uint64_t>(ctl.pid) << 32);
 }
 
@@ -47,7 +46,6 @@ unpackCtl(uint64_t word)
     SlotCtl ctl;
     ctl.state = static_cast<CellState>(word & 0xff);
     ctl.attempts = static_cast<uint8_t>((word >> 8) & 0xff);
-    ctl.seq = static_cast<uint16_t>((word >> 16) & 0xffff);
     ctl.pid = static_cast<uint32_t>(word >> 32);
     return ctl;
 }
@@ -69,9 +67,8 @@ struct SharedQueue::Header
     uint32_t coordinator_pid;
     uint32_t retry_budget;
     uint32_t shutdown; // atomic flag
-    uint64_t lease_ms;
     uint64_t run_id;
-    uint8_t pad[24];
+    uint8_t pad[32];
 
     // Pads to one 64-byte line so slot 0 starts line-aligned.
     static void sizeCheck();
@@ -81,8 +78,8 @@ struct SharedQueue::Slot
 {
     /** Packed SlotCtl; every transition is one CAS here. */
     uint64_t ctl;
-    /** Lease deadline, monotonic ms (owner-written, racy-read). */
-    uint64_t deadline_ms;
+    /** Claim time, monotonic ms (claimer-written, racy-read). */
+    uint64_t claimed_ms;
     /** Locality key (immutable after create). */
     uint64_t profile_hash;
     /** Durable cell identity (immutable after create). */
@@ -115,8 +112,7 @@ SharedQueue::slot(size_t i) const
 util::Expected<SharedQueue>
 SharedQueue::create(const std::string &path,
                     const std::vector<CellSeed> &cells,
-                    unsigned retry_budget, uint64_t lease_ms,
-                    uint64_t run_id)
+                    unsigned retry_budget, uint64_t run_id)
 {
     const size_t bytes =
         sizeof(Header) + cells.size() * sizeof(Slot);
@@ -158,13 +154,12 @@ SharedQueue::create(const std::string &path,
     // attempts is a u8; clamp so the packed counter cannot wrap.
     h->retry_budget = retry_budget < 250 ? retry_budget : 250;
     h->shutdown = 0;
-    h->lease_ms = lease_ms;
     h->run_id = run_id;
 
     for (size_t i = 0; i < cells.size(); ++i) {
         Slot *s = queue.slot(i);
         s->ctl = packCtl(SlotCtl{});
-        s->deadline_ms = 0;
+        s->claimed_ms = 0;
         s->profile_hash = cells[i].profile_hash;
         s->fingerprint = cells[i].fingerprint;
     }
@@ -206,22 +201,16 @@ SharedQueue::cellCount() const
     return header()->cells;
 }
 
-unsigned
-SharedQueue::retryBudget() const
-{
-    return header()->retry_budget;
-}
-
-uint64_t
-SharedQueue::leaseMs() const
-{
-    return header()->lease_ms;
-}
-
 uint64_t
 SharedQueue::runId() const
 {
     return header()->run_id;
+}
+
+uint32_t
+SharedQueue::coordinatorPid() const
+{
+    return header()->coordinator_pid;
 }
 
 SlotCtl
@@ -244,9 +233,9 @@ SharedQueue::fingerprint(size_t i) const
 }
 
 uint64_t
-SharedQueue::deadline(size_t i) const
+SharedQueue::claimedAt(size_t i) const
 {
-    return atomicRef(slot(i)->deadline_ms)
+    return atomicRef(slot(i)->claimed_ms)
         .load(std::memory_order_acquire);
 }
 
@@ -262,55 +251,14 @@ SharedQueue::tryClaim(size_t i, uint32_t pid)
     SlotCtl next = ctl;
     next.state = CellState::Leased;
     next.attempts = ctl.attempts + 1;
-    next.seq = ctl.seq + 1;
     next.pid = pid;
-    // Stamp the deadline before publishing the lease so no observer
-    // can see a Leased slot with a stale (already expired) deadline
-    // and steal it back instantly.
-    atomicRef(s->deadline_ms)
-        .store(monotonicMs() + header()->lease_ms,
-               std::memory_order_release);
+    // Stamp the claim time before publishing the claim so no
+    // observer can see a Leased slot with a previous attempt's time
+    // and judge it over budget at once.
+    atomicRef(s->claimed_ms)
+        .store(monotonicMs(), std::memory_order_release);
     return atomicRef(s->ctl).compare_exchange_strong(
         observed, packCtl(next), std::memory_order_acq_rel);
-}
-
-bool
-SharedQueue::trySteal(size_t i, uint32_t pid, uint64_t now_ms)
-{
-    Slot *s = slot(i);
-    uint64_t observed =
-        atomicRef(s->ctl).load(std::memory_order_acquire);
-    SlotCtl ctl = unpackCtl(observed);
-    if (ctl.state != CellState::Leased)
-        return false;
-    if (atomicRef(s->deadline_ms).load(std::memory_order_acquire) >
-        now_ms) {
-        return false; // lease is live
-    }
-    if (ctl.attempts >= header()->retry_budget)
-        return false; // coordinator will mark Failed
-    SlotCtl next = ctl;
-    next.attempts = ctl.attempts + 1;
-    next.seq = ctl.seq + 1;
-    next.pid = pid;
-    atomicRef(s->deadline_ms)
-        .store(now_ms + header()->lease_ms,
-               std::memory_order_release);
-    return atomicRef(s->ctl).compare_exchange_strong(
-        observed, packCtl(next), std::memory_order_acq_rel);
-}
-
-void
-SharedQueue::renewLease(size_t i, uint32_t pid,
-                        uint64_t deadline_ms)
-{
-    Slot *s = slot(i);
-    SlotCtl ctl = unpackCtl(
-        atomicRef(s->ctl).load(std::memory_order_acquire));
-    if (ctl.state != CellState::Leased || ctl.pid != pid)
-        return; // stolen or reclaimed; nothing to renew
-    atomicRef(s->deadline_ms)
-        .store(deadline_ms, std::memory_order_release);
 }
 
 bool
@@ -324,7 +272,6 @@ SharedQueue::markDone(size_t i, uint32_t pid)
         return false;
     SlotCtl next = ctl;
     next.state = CellState::Done;
-    next.seq = ctl.seq + 1;
     return atomicRef(s->ctl).compare_exchange_strong(
         observed, packCtl(next), std::memory_order_acq_rel);
 }
@@ -337,7 +284,6 @@ SlotCtl
 requeued(SlotCtl ctl, unsigned budget)
 {
     SlotCtl next = ctl;
-    next.seq = ctl.seq + 1;
     next.pid = 0;
     if (ctl.attempts >= budget) {
         next.state = CellState::Failed;
@@ -358,27 +304,6 @@ SharedQueue::releaseFailed(size_t i, uint32_t pid)
     SlotCtl ctl = unpackCtl(observed);
     if (ctl.state != CellState::Leased || ctl.pid != pid)
         return std::nullopt;
-    SlotCtl next = requeued(ctl, header()->retry_budget);
-    if (!atomicRef(s->ctl).compare_exchange_strong(
-            observed, packCtl(next), std::memory_order_acq_rel)) {
-        return std::nullopt;
-    }
-    return next.state;
-}
-
-std::optional<CellState>
-SharedQueue::reclaimExpired(size_t i, uint64_t now_ms)
-{
-    Slot *s = slot(i);
-    uint64_t observed =
-        atomicRef(s->ctl).load(std::memory_order_acquire);
-    SlotCtl ctl = unpackCtl(observed);
-    if (ctl.state != CellState::Leased)
-        return std::nullopt;
-    if (atomicRef(s->deadline_ms).load(std::memory_order_acquire) >
-        now_ms) {
-        return std::nullopt;
-    }
     SlotCtl next = requeued(ctl, header()->retry_budget);
     if (!atomicRef(s->ctl).compare_exchange_strong(
             observed, packCtl(next), std::memory_order_acq_rel)) {

@@ -1,21 +1,20 @@
 /**
  * @file
- * SharedQueue: the fabric's file-backed work queue with lease-based
- * claiming.
+ * SharedQueue: the fabric's file-backed work queue.
  *
  * One mmap(MAP_SHARED) file carries a fixed header plus one 64-byte
  * slot per sweep cell. Every slot transition goes through a single
  * compare-and-swap on the slot's packed control word — state,
- * attempt count, a steal-guard sequence number, and the owning pid
- * all change atomically together — so a worker that was SIGKILLed,
- * SIGSTOPped, or simply outrun can never complete a cell someone
- * else has since reclaimed: its final CAS fails on the stale
- * sequence number and the duplicate result is discarded at merge.
+ * attempt count and the owning pid change atomically together. A
+ * claim always advances the attempt count, so the word never
+ * repeats and a CAS from a stale observation fails. Only the
+ * owner's pid can complete a claim, and only the coordinator
+ * requeues one, after it has reaped the owner, so a result is
+ * published at most once.
  *
- * Clocks: lease deadlines are CLOCK_MONOTONIC milliseconds, which
- * is system-wide on Linux, so the coordinator and every worker
- * compare deadlines against the same clock without any calibration
- * handshake.
+ * Clocks: claim times are CLOCK_MONOTONIC milliseconds, which is
+ * system-wide on Linux, so the coordinator reads a worker's claim
+ * time against its own clock without any calibration handshake.
  *
  * The queue file is named with the coordinator's pid
  * ("queue-<pid>.fvcq") so concurrent fabrics in one FVC_FABRIC_DIR
@@ -38,9 +37,9 @@ namespace fvc::fabric {
 
 /** Lifecycle of one sweep cell in the queue. */
 enum class CellState : uint8_t {
-    /** Unclaimed; any worker may lease it. */
+    /** Unclaimed; any worker may claim it. */
     Pending = 0,
-    /** Leased by ctl.pid until the slot's deadline. */
+    /** Claimed by ctl.pid, which is simulating it. */
     Leased = 1,
     /** A CRC-valid result record was (reportedly) published. */
     Done = 2,
@@ -52,11 +51,8 @@ enum class CellState : uint8_t {
 struct SlotCtl
 {
     CellState state = CellState::Pending;
-    /** Simulation attempts started so far (claims + steals). */
+    /** Simulation attempts started so far (one per claim). */
     uint8_t attempts = 0;
-    /** Steal guard: bumped on every transition, so a CAS from a
-     * stale observation always fails. */
-    uint16_t seq = 0;
     /** Owning worker pid while Leased (0 otherwise). */
     uint32_t pid = 0;
 };
@@ -90,13 +86,12 @@ class SharedQueue
      * seed one slot per cell, and map it shared.
      *
      * @param retry_budget max attempts per cell before Failed
-     * @param lease_ms     lease duration stamped by claims/renewals
      * @param run_id       this coordinator run's id (diagnostics)
      */
     static util::Expected<SharedQueue>
     create(const std::string &path,
            const std::vector<CellSeed> &cells, unsigned retry_budget,
-           uint64_t lease_ms, uint64_t run_id);
+           uint64_t run_id);
 
     SharedQueue() = default;
     ~SharedQueue();
@@ -108,9 +103,9 @@ class SharedQueue
     bool valid() const { return base_ != nullptr; }
     const std::string &path() const { return path_; }
     size_t cellCount() const;
-    unsigned retryBudget() const;
-    uint64_t leaseMs() const;
     uint64_t runId() const;
+    /** The pid of the process that created the queue. */
+    uint32_t coordinatorPid() const;
 
     /** Atomically load slot @p i's control word. */
     SlotCtl load(size_t i) const;
@@ -120,51 +115,31 @@ class SharedQueue
     /** The slot's durable fingerprint (immutable after create). */
     uint64_t fingerprint(size_t i) const;
 
-    /** The slot's lease deadline, monotonic ms (racy read; only
-     * meaningful while the slot is Leased). */
-    uint64_t deadline(size_t i) const;
+    /** When the slot was last claimed, monotonic ms (racy read;
+     * only meaningful while the slot is Leased). */
+    uint64_t claimedAt(size_t i) const;
 
     /**
-     * Try to lease slot @p i: CAS Pending -> Leased(pid) and stamp
-     * a fresh deadline. @return false if the slot changed under us.
+     * Try to claim slot @p i: stamp the claim time, then CAS
+     * Pending -> Leased(pid) with attempts advanced. @return false
+     * if the slot changed under us.
      */
     bool tryClaim(size_t i, uint32_t pid);
 
     /**
-     * Lease-based work stealing: take over a Leased slot whose
-     * deadline has expired (owner crashed, hung, or stopped). The
-     * attempt count advances — a steal is a new simulation attempt.
-     * Refused (false) when the lease is live, the observed word
-     * changed, or the retry budget is already exhausted (the
-     * coordinator turns that case into Failed).
-     */
-    bool trySteal(size_t i, uint32_t pid, uint64_t now_ms);
-
-    /** Renew the lease on a slot this pid owns (heartbeat). */
-    void renewLease(size_t i, uint32_t pid, uint64_t deadline_ms);
-
-    /**
-     * Mark a leased slot Done. Fails (false) when the caller no
-     * longer owns the slot — the cell was stolen or reclaimed, and
-     * the caller's published record becomes a harmless duplicate.
+     * Mark a claimed slot Done. Fails (false) when @p pid does not
+     * own the slot.
      */
     bool markDone(size_t i, uint32_t pid);
 
     /**
-     * Release a leased slot after an in-worker failure:
-     * Leased(pid) -> Pending with attempts advanced, or Failed when
-     * the budget is exhausted. @return the resulting state, or
-     * nullopt when the caller no longer owned the slot.
+     * Release @p pid's claim on slot @p i — after an in-worker
+     * failure, or by the coordinator once it has reaped the owner:
+     * Leased(pid) -> Pending, or Failed when the attempts reached
+     * the budget. @return the resulting state, or nullopt when
+     * @p pid did not own the slot.
      */
     std::optional<CellState> releaseFailed(size_t i, uint32_t pid);
-
-    /**
-     * Coordinator-side reclaim of an expired lease: -> Pending
-     * (attempts advanced) or Failed past the budget. @return the
-     * resulting state, or nullopt when the slot moved on its own.
-     */
-    std::optional<CellState> reclaimExpired(size_t i,
-                                            uint64_t now_ms);
 
     /**
      * Coordinator-side demotion of a Done slot whose published

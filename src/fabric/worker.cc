@@ -1,28 +1,21 @@
 /**
  * @file
- * The fabric worker loop: claim, simulate, publish, heartbeat.
+ * The fabric worker loop: claim, simulate, publish.
  *
  * Runs in a forked child of the coordinator (no exec — the child
- * inherits the cell vector, the queue mapping, and the environment).
- * A heartbeat thread renews the lease of whatever cell is in flight,
- * but stops renewing once the cell has been running longer than
- * FVC_JOB_TIMEOUT_MS — letting the lease lapse is precisely how a
- * wedged job gets killed and re-queued, a reclaim no thread backend
- * can perform. The heartbeat waits on
- * its stop token, so once the queue completes the worker publishes
- * its spill and exits at once, whatever the lease period.
+ * inherits the cell vector, the queue mapping, and the environment)
+ * on its one thread. The worker never judges its own health: the
+ * coordinator decides when a cell is lost, from what it knows of
+ * its own child processes (fabric.cc), and the worker dies with
+ * the coordinator that forked it.
  */
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <unordered_set>
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -30,7 +23,6 @@
 #include "fabric/fabric.hh"
 #include "fabric/queue.hh"
 #include "fabric/spill.hh"
-#include "harness/parallel.hh"
 #include "util/logging.hh"
 #include "verify/fault_injector.hh"
 
@@ -110,17 +102,6 @@ claimCell(SharedQueue &queue, uint32_t pid,
         if (queue.tryClaim(i, pid))
             return i;
     }
-    // Pass 4: steal an expired lease (owner crashed or hung).
-    const uint64_t now = monotonicMs();
-    for (size_t i = 0; i < n; ++i) {
-        SlotCtl ctl = queue.load(i);
-        if (ctl.state != CellState::Leased || ctl.pid == pid)
-            continue;
-        if (queue.deadline(i) > now)
-            continue;
-        if (queue.trySteal(i, pid, now))
-            return i;
-    }
     return std::nullopt;
 }
 
@@ -129,6 +110,14 @@ runWorkerProcess(SharedQueue &queue,
                  const std::vector<CellSpec> &cells,
                  unsigned worker_id, const std::string &dir)
 {
+    // A worker dies with the thread that forked it, so a killed
+    // coordinator takes its workers along: no worker is left waiting
+    // on a claim only the coordinator could requeue. A coordinator
+    // that died before the prctl is caught by the reparenting.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (static_cast<uint32_t>(::getppid()) != queue.coordinatorPid())
+        return 1;
+
     const uint32_t pid = static_cast<uint32_t>(::getpid());
 
     SpillHeader header;
@@ -146,39 +135,6 @@ runWorkerProcess(SharedQueue &queue,
     SpillWriter spill = std::move(writer.value());
 
     const auto fault = verify::FaultSpec::fromEnv();
-    const uint64_t lease_ms = queue.leaseMs();
-    const uint64_t job_budget_ms = jobTimeoutMs();
-
-    // Heartbeat: renew the in-flight cell's lease at a quarter of
-    // the lease period. Stops renewing once the cell has run past
-    // FVC_JOB_TIMEOUT_MS, so a wedged simulation loses its lease
-    // and gets killed + re-queued by the coordinator. The wait
-    // returns early on request_stop(), so joining it never waits
-    // out a period.
-    std::atomic<size_t> active{SIZE_MAX};
-    std::atomic<uint64_t> started_ms{0};
-    std::jthread heartbeat([&](std::stop_token token) {
-        const std::chrono::milliseconds period(
-            std::max<uint64_t>(lease_ms / 4, 5));
-        std::mutex mutex;
-        std::condition_variable_any wake;
-        std::unique_lock lock(mutex);
-        for (;;) {
-            wake.wait_for(lock, token, period, [] { return false; });
-            if (token.stop_requested())
-                return;
-            size_t i = active.load(std::memory_order_acquire);
-            if (i == SIZE_MAX)
-                continue;
-            uint64_t now = monotonicMs();
-            if (job_budget_ms > 0 &&
-                now - started_ms.load(std::memory_order_acquire) >
-                    job_budget_ms) {
-                continue; // over budget: let the lease lapse
-            }
-            queue.renewLease(i, pid, now + lease_ms);
-        }
-    });
 
     std::unordered_set<uint64_t> local_traces;
     while (!queue.shutdownRequested()) {
@@ -197,25 +153,22 @@ runWorkerProcess(SharedQueue &queue,
         }
         if (fault && fault->hang_cell && *fault->hang_cell == i &&
             faultFires(dir, "hang", fault->sticky)) {
-            // Stopped, not dead: only SIGKILL (which works on a
-            // stopped process) can clean this worker up.
-            ::raise(SIGSTOP);
+            // Wedged while holding the claim: only the per-cell
+            // budget or a kill from outside ends this.
+            for (;;)
+                ::pause();
         }
 
-        started_ms.store(monotonicMs(), std::memory_order_release);
-        active.store(i, std::memory_order_release);
         SpillRecord record;
         try {
             record.stats = simulateCell(cells[i]);
         } catch (const std::exception &e) {
-            active.store(SIZE_MAX, std::memory_order_release);
             queue.releaseFailed(i, pid);
             fvc_warn("fabric worker ", worker_id, ": cell #", i,
                      " (", cells[i].describe(), ") failed: ",
                      e.what());
             continue;
         }
-        active.store(SIZE_MAX, std::memory_order_release);
 
         record.cell_index = static_cast<uint32_t>(i);
         record.attempts = queue.load(i).attempts;
@@ -235,15 +188,12 @@ runWorkerProcess(SharedQueue &queue,
                      err->describe());
             continue;
         }
-        // The record is durable; claim completion. A failed CAS
-        // means the cell was stolen/reclaimed meanwhile — the
-        // record stays behind as a harmless duplicate.
+        // The record is durable; claim completion. Nothing else
+        // moves a live owner's claim, so this CAS succeeds.
         queue.markDone(i, pid);
         local_traces.insert(queue.profileHash(i));
     }
 
-    heartbeat.request_stop();
-    heartbeat.join();
     spill.close();
     // Atomic publish: a ".spill" file is complete by construction;
     // a ".part" file may end in a torn frame.

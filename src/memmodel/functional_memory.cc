@@ -161,13 +161,6 @@ FunctionalMemory::freeRegion(Addr base, uint64_t bytes)
 }
 
 bool
-FunctionalMemory::isLive(Addr addr) const
-{
-    const Page *page = pageIfPresent(addr);
-    return page && testBit(page->live, pageOffsetWords(addr));
-}
-
-bool
 FunctionalMemory::isInteresting(Addr addr) const
 {
     const Page *page = pageIfPresent(addr);

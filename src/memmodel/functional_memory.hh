@@ -93,9 +93,6 @@ class FunctionalMemory
      */
     void freeRegion(Addr base, uint64_t bytes);
 
-    /** True iff the word is inside a live allocation. */
-    bool isLive(Addr addr) const;
-
     /**
      * True iff the word counts as interesting for occurrence
      * sampling: referenced and (if allocation is tracked for its

@@ -20,15 +20,6 @@ namespace fvc::resultcache {
 
 namespace {
 
-/** True iff any simulation is a hard failure
- * (FVC_RESULT_EXPECT_WARM): the bench acceptance gate for "the
- * warm run touched nothing but the store". */
-bool
-expectWarm()
-{
-    return util::knobFlag("FVC_RESULT_EXPECT_WARM");
-}
-
 /** Cells the single-pass engine can carry: write-back DMC with no
  * victim buffer or L2 behind it (MultiConfigSimulator's lane kernel
  * covers exactly the bare-DMC and DMC+FVC kinds). */
@@ -159,6 +150,12 @@ resultMode()
     if (resultDir().empty())
         return ResultMode::Disabled;
     return util::knobStoreMode("FVC_RESULT_CACHE");
+}
+
+bool
+expectWarm()
+{
+    return util::knobFlag("FVC_RESULT_EXPECT_WARM");
 }
 
 std::string

@@ -51,6 +51,14 @@ using ResultMode = util::StoreMode;
 /** The active mode: Disabled without a store directory. */
 ResultMode resultMode();
 
+/**
+ * FVC_RESULT_EXPECT_WARM: any simulation is a hard failure, the
+ * bench acceptance gate for "the warm run touched nothing but the
+ * store". Checked in-process only: a daemon's reply cannot say
+ * which cells it simulated (daemon::runCells).
+ */
+bool expectWarm();
+
 /** FVC_RESULT_DIR, or empty when unset. */
 std::string resultDir();
 

@@ -38,7 +38,6 @@ class TraceStats
         return words_.size() * kWordBytes;
     }
 
-    uint64_t firstIcount() const { return first_icount_; }
     uint64_t lastIcount() const { return last_icount_; }
 
     /** Accesses per 1000 instructions over the trace span. */

@@ -96,12 +96,6 @@ class Expected
         return std::get<Error>(store_);
     }
 
-    T
-    valueOr(T fallback) const
-    {
-        return ok() ? std::get<T>(store_) : std::move(fallback);
-    }
-
   private:
     std::variant<T, Error> store_;
 };

@@ -3,7 +3,7 @@
  * The one reader of the FVC_* environment knobs.
  *
  * Every knob accessor in the library (jobCount(), storeMode(),
- * leaseMs(), ...) is a single call of one of the readers below, one
+ * sweepRetries(), ...) is a single call of one of the readers below, one
  * per kind of value; no other code calls getenv on an FVC_* name
  * (tests/knob_check.py enforces it, and EXPERIMENTS.md's knob table
  * lists every name). The readers consult the environment on every

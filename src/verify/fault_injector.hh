@@ -64,9 +64,9 @@ struct FaultSpec
     /** Fabric: SIGKILL the worker right before simulating the cell
      * with this submission index. */
     std::optional<uint64_t> kill_cell;
-    /** Fabric: SIGSTOP the worker right before simulating the cell
-     * with this submission index (the lease expires and the
-     * coordinator SIGKILLs the stopped process). */
+    /** Fabric: block the worker forever right before simulating
+     * the cell with this submission index, holding its claim; only
+     * the FVC_JOB_TIMEOUT_MS budget or a kill from outside ends it. */
     std::optional<uint64_t> hang_cell;
     /** Fabric: flip one bit of this cell's spill record payload
      * after its CRC is computed, so the published result is

@@ -93,8 +93,6 @@ class ValuePool
         return ranked_;
     }
 
-    double frequentMass() const { return spec_.frequent_mass; }
-
     const ValuePoolSpec &spec() const { return spec_; }
 
   private:

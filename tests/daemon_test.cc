@@ -28,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -57,6 +59,7 @@ namespace fs = std::filesystem;
 namespace {
 
 using fvc::test::EnvGuard;
+using fvc::test::ScopedEnv;
 using fvc::test::TempDir;
 
 /** A tiny bare-DMC cell (fast enough to simulate in tests). Use a
@@ -229,15 +232,15 @@ storeCells(const std::vector<fb::CellSpec> &cells, uint64_t salt)
     return records;
 }
 
-/** Make the next simulating batch hang: one fabric worker stops
- * itself (SIGSTOP) on its first cell, so the batch ends only after
- * the coordinator kills it at lease expiry and a respawned worker
+/** Make the next simulating batch hang: one fabric worker blocks
+ * on its first cell, so the batch ends only after the coordinator
+ * kills it at the 1 s per-cell budget and a respawned worker
  * simulates the cell. */
 void
 hangNextBatch()
 {
     EnvGuard::set("FVC_WORKERS", "1");
-    EnvGuard::set("FVC_LEASE_MS", "1000");
+    EnvGuard::set("FVC_JOB_TIMEOUT_MS", "1000");
     EnvGuard::set("FVC_FAULT_SPEC", "hang_cell=0");
 }
 
@@ -825,7 +828,7 @@ TEST(DaemonServerTest, HitsAndPingsPassASimulatingBatch)
     ASSERT_TRUE(before.ok()) << before.error().describe();
 
     // Client 0's novel cell starts a batch that hangs in the
-    // fabric until the lease expires.
+    // fabric until the cell's budget runs out.
     std::atomic<bool> batch_replied{false};
     std::optional<fb::CellStats> simulated;
     std::thread writer([&] {
@@ -1077,6 +1080,55 @@ TEST(DaemonRunCellsTest, ServesInProcessResultsAndReportsFailedCells)
                        std::to_string(::getpid())),
               std::string::npos)
         << out;
+}
+
+TEST(DaemonRunCellsTest, WarmExpectationIsCheckedInProcess)
+{
+    // A daemon on an empty store simulates what it is asked and
+    // replies as it would from a warm one. So a client's warm
+    // expectation holds against its own empty store: "auto"
+    // resolves in-process and misses, "on" refuses to be served.
+    // Each client runs in a fresh process ("threadsafe" death tests
+    // re-execute the binary; a fork of this one would inherit the
+    // worker pool's bookkeeping but not its threads) and forks its
+    // own daemon, which never sees the flag. The clients' scratch
+    // dirs nest in this test's, so they are removed with it.
+    EnvGuard env;
+    TempDir dir;
+    ScopedEnv nest("TMPDIR", dir.path().string());
+    const std::vector<fb::CellSpec> cells = {
+        makeCell(fw::SpecInt::Go099, 7301)};
+    auto resolveWarm = [&](const char *mode) {
+        EnvGuard::set("FVC_RESULT_DIR", dir.file("daemon-results"));
+        fd::Server::Options options;
+        options.socket_path = dir.file("d.sock");
+        options.batch_window_ms = 2;
+        auto server = fd::Server::create(options);
+        if (!server.ok())
+            std::exit(2);
+        const pid_t client = ::getpid();
+        if (::fork() == 0) {
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() == client)
+                server.value()->run();
+            ::_exit(0);
+        }
+        EnvGuard::set("FVC_DAEMON", mode);
+        EnvGuard::set("FVC_DAEMON_SOCK", options.socket_path);
+        EnvGuard::set("FVC_RESULT_DIR", dir.file("client-results"));
+        EnvGuard::set("FVC_RESULT_EXPECT_WARM", "1");
+        fd::runCells(cells, "warm sweep");
+        std::exit(0);
+    };
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(resolveWarm("auto"), ::testing::ExitedWithCode(1),
+                "FVC_RESULT_EXPECT_WARM is set but 1 of 1 cell\\(s\\) "
+                "in warm sweep missed the result cache");
+    EXPECT_EXIT(resolveWarm("on"), ::testing::ExitedWithCode(1),
+                "FVC_DAEMON=on cannot serve warm sweep under "
+                "FVC_RESULT_EXPECT_WARM=1");
+    ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 // ---------------------------------------------------------------

@@ -2,10 +2,11 @@
  * @file
  * Crash matrix for the multi-process sweep fabric: queue CAS
  * semantics, spill framing, dead-spill harvesting, and the
- * end-to-end contract that SIGKILL, SIGSTOP, corrupted spill
- * frames, and resume after a killed sweep (a warm serve through
- * the result repository) all converge to results byte-identical
- * to a serial run.
+ * end-to-end contract that SIGKILL, SIGSTOP, a cell over its
+ * budget, corrupted spill frames, and resume after a killed sweep
+ * (a warm serve through the result repository) all converge to
+ * results byte-identical to a serial run, and that a killed
+ * coordinator takes its workers along.
  *
  * Every fabric test uses its own mkdtemp directory (per-test
  * queue/spill state) and small traces; fault injection goes
@@ -14,12 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <dirent.h>
@@ -153,6 +157,25 @@ scanSpills(const std::string &dir)
     return scan;
 }
 
+/** The worker pids named by the spill files in a fabric dir
+ * ("w<id>-<pid>.part" or ".spill"), by worker id. */
+std::map<unsigned, pid_t>
+workerPids(const std::string &dir)
+{
+    std::map<unsigned, pid_t> pids;
+    DIR *d = ::opendir(dir.c_str());
+    if (!d)
+        return pids;
+    while (struct dirent *entry = ::readdir(d)) {
+        unsigned id = 0;
+        int pid = 0;
+        if (std::sscanf(entry->d_name, "w%u-%d.", &id, &pid) == 2)
+            pids[id] = pid;
+    }
+    ::closedir(d);
+    return pids;
+}
+
 fb::SpillRecord
 sampleRecord(uint32_t index, uint64_t fingerprint)
 {
@@ -180,7 +203,7 @@ TEST(SharedQueueTest, ClaimDoneLifecycle)
     for (size_t i = 0; i < seeds.size(); ++i)
         seeds[i] = {i, 100 + i};
     auto created = fb::SharedQueue::create(
-        dir.file("queue-1.fvcq"), seeds, 3, 60000, 99);
+        dir.file("queue-1.fvcq"), seeds, 3, 99);
     ASSERT_TRUE(created.ok()) << created.error().describe();
     fb::SharedQueue queue = std::move(created.value());
 
@@ -189,13 +212,15 @@ TEST(SharedQueueTest, ClaimDoneLifecycle)
     EXPECT_EQ(queue.fingerprint(1), 101u);
     EXPECT_FALSE(queue.complete());
 
+    const uint64_t before = fb::monotonicMs();
     EXPECT_TRUE(queue.tryClaim(0, 10));
-    EXPECT_FALSE(queue.tryClaim(0, 11)); // already leased
+    EXPECT_FALSE(queue.tryClaim(0, 11)); // already claimed
     fb::SlotCtl ctl = queue.load(0);
     EXPECT_EQ(ctl.state, fb::CellState::Leased);
     EXPECT_EQ(ctl.pid, 10u);
     EXPECT_EQ(ctl.attempts, 1u);
-    EXPECT_GT(queue.deadline(0), fb::monotonicMs());
+    EXPECT_GE(queue.claimedAt(0), before);
+    EXPECT_LE(queue.claimedAt(0), fb::monotonicMs());
 
     EXPECT_FALSE(queue.markDone(0, 11)); // not the owner
     EXPECT_TRUE(queue.markDone(0, 10));
@@ -203,35 +228,12 @@ TEST(SharedQueueTest, ClaimDoneLifecycle)
     EXPECT_EQ(queue.doneCount(), 1u);
 }
 
-TEST(SharedQueueTest, StealGuardsAgainstStaleOwner)
-{
-    TempDir dir;
-    std::vector<fb::CellSeed> seeds(1);
-    auto created = fb::SharedQueue::create(
-        dir.file("queue-1.fvcq"), seeds, 5, 50, 1);
-    ASSERT_TRUE(created.ok());
-    fb::SharedQueue queue = std::move(created.value());
-
-    ASSERT_TRUE(queue.tryClaim(0, 10));
-    // Live lease: not stealable.
-    EXPECT_FALSE(queue.trySteal(0, 11, fb::monotonicMs()));
-    // Expired lease: stealable, attempts advance.
-    const uint64_t later = queue.deadline(0) + 1;
-    EXPECT_TRUE(queue.trySteal(0, 11, later));
-    EXPECT_EQ(queue.load(0).pid, 11u);
-    EXPECT_EQ(queue.load(0).attempts, 2u);
-    // The original owner wakes up and tries to publish: the seq
-    // bump makes its markDone fail (at-most-once publish).
-    EXPECT_FALSE(queue.markDone(0, 10));
-    EXPECT_TRUE(queue.markDone(0, 11));
-}
-
 TEST(SharedQueueTest, RetryBudgetDegradesToFailed)
 {
     TempDir dir;
     std::vector<fb::CellSeed> seeds(1);
     auto created = fb::SharedQueue::create(
-        dir.file("queue-1.fvcq"), seeds, 2, 50, 1);
+        dir.file("queue-1.fvcq"), seeds, 2, 1);
     ASSERT_TRUE(created.ok());
     fb::SharedQueue queue = std::move(created.value());
 
@@ -245,7 +247,7 @@ TEST(SharedQueueTest, RetryBudgetDegradesToFailed)
     EXPECT_EQ(*state, fb::CellState::Failed); // budget exhausted
     EXPECT_EQ(queue.failedCount(), 1u);
     EXPECT_TRUE(queue.complete());
-    // Budget-exhausted leases are not stealable either.
+    // A Failed cell is not claimable.
     EXPECT_FALSE(queue.tryClaim(0, 11));
 }
 
@@ -254,7 +256,7 @@ TEST(SharedQueueTest, DemoteUnpublishedRequeuesDoneCell)
     TempDir dir;
     std::vector<fb::CellSeed> seeds(1);
     auto created = fb::SharedQueue::create(
-        dir.file("queue-1.fvcq"), seeds, 3, 50, 1);
+        dir.file("queue-1.fvcq"), seeds, 3, 1);
     ASSERT_TRUE(created.ok());
     fb::SharedQueue queue = std::move(created.value());
 
@@ -278,7 +280,7 @@ TEST(FabricClaimTest, PrefersAnUnstartedTrace)
         const std::vector<fb::CellSeed> seeds = {
             {kTraceA, 1}, {kTraceA, 2}, {kTraceB, 3}, {kTraceB, 4}};
         auto created =
-            fb::SharedQueue::create(dir.file(name), seeds, 3, 60000, 1);
+            fb::SharedQueue::create(dir.file(name), seeds, 3, 1);
         EXPECT_TRUE(created.ok()) << created.error().describe();
         fb::SharedQueue queue = std::move(created.value());
         EXPECT_TRUE(queue.tryClaim(0, 10));
@@ -404,14 +406,12 @@ TEST(FabricEnvTest, StrictWorkerAndLeaseParsing)
     EXPECT_FALSE(fb::configuredWorkers().has_value());
     EnvGuard::unset("FVC_WORKERS");
 
-    EXPECT_EQ(fb::leaseMs(), 2000u);
-    EnvGuard::set("FVC_LEASE_MS", "150");
-    EXPECT_EQ(fb::leaseMs(), 150u);
-    EnvGuard::set("FVC_LEASE_MS", "5"); // below the floor
-    EXPECT_EQ(fb::leaseMs(), 2000u);
-    EnvGuard::set("FVC_LEASE_MS", "soon");
-    EXPECT_EQ(fb::leaseMs(), 2000u);
-    EnvGuard::unset("FVC_LEASE_MS");
+    EXPECT_EQ(fb::jobTimeoutMs(), 0u);
+    EnvGuard::set("FVC_JOB_TIMEOUT_MS", "200");
+    EXPECT_EQ(fb::jobTimeoutMs(), 200u);
+    EnvGuard::set("FVC_JOB_TIMEOUT_MS", "soon");
+    EXPECT_EQ(fb::jobTimeoutMs(), 0u);
+    EnvGuard::unset("FVC_JOB_TIMEOUT_MS");
 
     EXPECT_FALSE(fb::fabricDirConfigured());
     EnvGuard::set("FVC_FABRIC_DIR", "/tmp/somewhere");
@@ -494,33 +494,25 @@ TEST(FabricTest, MatchesSerialAcrossWorkerCounts)
 {
     auto cells = matrixCells();
     auto serial = serialReference(cells);
-    // 0 is the default lease. At 8000 ms the heartbeat period
-    // (lease/4) outlasts the coordinator's 500 ms drain grace, so a
-    // worker whose heartbeat cannot be stopped gets SIGKILLed at
-    // the end of a healthy run.
-    for (uint64_t lease_ms : {uint64_t{0}, uint64_t{8000}}) {
-        for (unsigned workers : {1u, 2u, 4u}) {
-            SCOPED_TRACE("lease_ms=" + std::to_string(lease_ms) +
-                         " workers=" + std::to_string(workers));
-            TempDir dir;
-            fb::FabricOptions options;
-            options.workers = workers;
-            options.lease_ms = lease_ms;
-            options.dir = dir.path();
-            const size_t fds = openFdCount();
-            auto outcome = runFabric(cells, options);
-            EXPECT_EQ(openFdCount(), fds) << "leaked a descriptor";
-            EXPECT_TRUE(outcome.ok());
-            EXPECT_TRUE(outcome.failures.empty());
-            EXPECT_EQ(outcome.simulated, cells.size());
-            expectMatchesSerial(outcome.results, serial);
-            for (size_t i = 0; i < cells.size(); ++i)
-                EXPECT_EQ(outcome.meta[i].run_id, outcome.run_id);
-            // Fault-free: nobody hangs, dies, or outlives the drain.
-            EXPECT_EQ(outcome.kills, 0u);
-            EXPECT_EQ(outcome.reclaims, 0u);
-            EXPECT_EQ(outcome.respawns, 0u);
-        }
+    for (unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        TempDir dir;
+        fb::FabricOptions options;
+        options.workers = workers;
+        options.dir = dir.path();
+        const size_t fds = openFdCount();
+        auto outcome = runFabric(cells, options);
+        EXPECT_EQ(openFdCount(), fds) << "leaked a descriptor";
+        EXPECT_TRUE(outcome.ok());
+        EXPECT_TRUE(outcome.failures.empty());
+        EXPECT_EQ(outcome.simulated, cells.size());
+        expectMatchesSerial(outcome.results, serial);
+        for (size_t i = 0; i < cells.size(); ++i)
+            EXPECT_EQ(outcome.meta[i].run_id, outcome.run_id);
+        // Fault-free: nobody hangs, dies, or outlives the drain.
+        EXPECT_EQ(outcome.kills, 0u);
+        EXPECT_EQ(outcome.reclaims, 0u);
+        EXPECT_EQ(outcome.respawns, 0u);
     }
 }
 
@@ -532,28 +524,26 @@ TEST(FabricTest, SigkillMidCellIsStolenOrReclaimed)
     ScopedEnv fault("FVC_FAULT_SPEC", "kill_cell=2");
     fb::FabricOptions options;
     options.workers = 2;
-    options.lease_ms = 100;
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
     expectMatchesSerial(outcome.results, serial);
     // The record that survived is from the *second* attempt: the
-    // first claimer died holding the lease.
+    // first claimer died holding the claim.
     EXPECT_GE(outcome.meta[2].attempts, 2u);
 }
 
 TEST(FabricTest, DeadWorkerLeaseReclaimedAtReap)
 {
-    // The coordinator learns of a worker's death from its pidfd; the
-    // dead worker's lease must be requeued then, not when the 8 s
-    // lease expires.
+    // The coordinator learns of a worker's death from its pidfd and
+    // requeues the dead worker's claim when it reaps it, so the run
+    // ends at once.
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
     ScopedEnv fault("FVC_FAULT_SPEC", "kill_cell=2");
     fb::FabricOptions options;
     options.workers = 2;
-    options.lease_ms = 8000;
     options.dir = dir.path();
     const auto start = std::chrono::steady_clock::now();
     auto outcome = runFabric(cells, options);
@@ -567,14 +557,51 @@ TEST(FabricTest, DeadWorkerLeaseReclaimedAtReap)
 
 TEST(FabricTest, SigstopHangIsKilledAndReclaimed)
 {
+    // Worker 0 blocks holding cell 1, and the test stops it. With no
+    // budget set, only the coordinator's waitpid can find it: it
+    // must SIGKILL the stopped worker, requeue the cell and respawn.
     auto cells = matrixCells();
     auto serial = serialReference(cells);
     TempDir dir;
     ScopedEnv fault("FVC_FAULT_SPEC", "hang_cell=1");
+    std::atomic<bool> finished{false};
+    std::thread stopper([&] {
+        const std::string mark = dir.file("fault-hang.mark");
+        while (!finished) {
+            struct stat st;
+            const auto pids = workerPids(dir.path());
+            if (::stat(mark.c_str(), &st) == 0 && pids.count(0)) {
+                ::kill(pids.at(0), SIGSTOP);
+                return;
+            }
+            ::usleep(1000);
+        }
+    });
     fb::FabricOptions options;
-    options.workers = 1; // nobody to steal: the coordinator must
-                         // SIGKILL the stopped worker and respawn
-    options.lease_ms = 100;
+    options.workers = 1;
+    options.dir = dir.path();
+    auto outcome = runFabric(cells, options);
+    finished = true;
+    stopper.join();
+    EXPECT_TRUE(outcome.ok());
+    expectMatchesSerial(outcome.results, serial);
+    EXPECT_GE(outcome.kills, 1u);
+    EXPECT_GE(outcome.reclaims, 1u);
+    EXPECT_GE(outcome.respawns, 1u);
+    EXPECT_GE(outcome.meta[1].attempts, 2u);
+}
+
+TEST(FabricTest, WedgedCellIsKilledAtItsBudget)
+{
+    // Worker 0 blocks holding cell 1; the per-cell budget is the
+    // only thing that can end it.
+    auto cells = matrixCells();
+    auto serial = serialReference(cells);
+    TempDir dir;
+    ScopedEnv fault("FVC_FAULT_SPEC", "hang_cell=1");
+    ScopedEnv budget("FVC_JOB_TIMEOUT_MS", "200");
+    fb::FabricOptions options;
+    options.workers = 1;
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
@@ -585,23 +612,57 @@ TEST(FabricTest, SigstopHangIsKilledAndReclaimed)
     EXPECT_GE(outcome.meta[1].attempts, 2u);
 }
 
-TEST(FabricTest, SigstopHangIsStolenByPeerWorker)
+TEST(FabricTest, WorkersDieWithTheirCoordinator)
 {
+    // A forked child coordinates a sweep whose cell 0 blocks its
+    // worker, with no budget, so the sweep cannot finish. Once a
+    // record is durable the coordinator alone is SIGKILLed, and
+    // both workers must die with it. As subreaper, this process
+    // inherits the orphans and reaps them.
     auto cells = matrixCells();
-    auto serial = serialReference(cells);
     TempDir dir;
-    ScopedEnv fault("FVC_FAULT_SPEC", "hang_cell=0");
-    fb::FabricOptions options;
-    options.workers = 3; // a peer steals the expired lease
-    options.lease_ms = 100;
-    options.dir = dir.path();
-    auto outcome = runFabric(cells, options);
-    EXPECT_TRUE(outcome.ok());
-    expectMatchesSerial(outcome.results, serial);
-    // The stopped worker never exits on its own; the coordinator
-    // must have SIGKILLed it at drain (or at lease expiry).
-    EXPECT_GE(outcome.kills, 1u);
-    EXPECT_GE(outcome.meta[0].attempts, 2u);
+    ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        setenv("FVC_WORKERS", "2", 1);
+        setenv("FVC_FAULT_SPEC", "hang_cell=0", 1);
+        setenv("FVC_FABRIC_DIR", dir.path().c_str(), 1);
+        fb::FabricRunner runner;
+        for (const auto &cell : cells)
+            runner.submit(cell);
+        runner.run();
+        ::_exit(0);
+    }
+    for (int ms = 0; ms < 60000; ms += 5) {
+        if (!scanSpills(dir.path()).fingerprints.empty())
+            break;
+        ::usleep(5000);
+    }
+    const auto workers = workerPids(dir.path());
+    ::kill(child, SIGKILL);
+    ::waitpid(child, nullptr, 0);
+
+    std::set<pid_t> left;
+    for (const auto &[id, pid] : workers)
+        left.insert(pid);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!left.empty() && std::chrono::steady_clock::now() < deadline) {
+        for (auto it = left.begin(); it != left.end();) {
+            it = ::waitpid(*it, nullptr, WNOHANG) != 0 ? left.erase(it)
+                                                       : std::next(it);
+        }
+        ::usleep(1000);
+    }
+    EXPECT_TRUE(left.empty())
+        << left.size() << " worker(s) outlived their coordinator";
+    for (pid_t pid : left) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+    }
+    ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+    EXPECT_EQ(workers.size(), 2u);
 }
 
 TEST(FabricTest, CorruptSpillFrameIsRejectedAndRequeued)
@@ -612,7 +673,6 @@ TEST(FabricTest, CorruptSpillFrameIsRejectedAndRequeued)
     ScopedEnv fault("FVC_FAULT_SPEC", "corrupt_spill=3");
     fb::FabricOptions options;
     options.workers = 2;
-    options.lease_ms = 100;
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
     EXPECT_TRUE(outcome.ok());
@@ -632,7 +692,6 @@ TEST(FabricTest, StickyKillExhaustsRetryBudget)
     ScopedEnv fault("FVC_FAULT_SPEC", "kill_cell=0,sticky=1");
     fb::FabricOptions options;
     options.workers = 1;
-    options.lease_ms = 100;
     options.retries = 1; // 2 attempts total
     options.dir = dir.path();
     auto outcome = runFabric(cells, options);
@@ -665,9 +724,10 @@ TEST(FabricTest, ResumeSimulatesOnlyUnfinishedCells)
     ScopedEnv results("FVC_RESULT_DIR", result_dir.path());
 
     // Run 1: a real crash. A forked child resolves the sweep; cell
-    // 0 hangs under a long lease, so the sweep cannot finish on its
-    // own, and the child's whole process group (coordinator and
-    // workers) is SIGKILLed once 3 records are durable in spills.
+    // 0 blocks its worker and no budget is set, so the sweep cannot
+    // finish on its own, and the child's whole process group
+    // (coordinator and workers) is SIGKILLed once 3 records are
+    // durable in spills.
     // As subreaper, this process reaps the orphaned workers too: an
     // unreaped pid would still look alive to the harvest.
     ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
@@ -676,7 +736,6 @@ TEST(FabricTest, ResumeSimulatesOnlyUnfinishedCells)
     if (child == 0) {
         ::setpgid(0, 0);
         setenv("FVC_FAULT_SPEC", "hang_cell=0", 1);
-        setenv("FVC_LEASE_MS", "60000", 1);
         fvc::resultcache::ResultRepository repo;
         repo.runCells(cells, "killed sweep");
         ::_exit(0);

@@ -9,6 +9,12 @@ Over the C++ sources under src/, bench/, examples/ and tests/:
 And over the prose of DESIGN.md, README.md and the verify skill:
   3. every FVC_* name is one of those knobs or one a bench/*.sh
      script reads, so no document goes on describing a deleted knob.
+And over what sets knobs for tests and gates:
+  4. every FVC_* name in a C++ string literal under tests/, bench/
+     or examples/ (tests/knobs_test.cc again skipped), in a
+     bench/*.py script, or in a CTest ENVIRONMENT entry is one of
+     those knobs too, so no test or gate goes on setting a deleted
+     knob and testing nothing.
 
 Usage: knob_check.py [--root DIR]  (a self-test runs first)
 """
@@ -31,16 +37,28 @@ PROSE_FILES = ("DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md")
 # A whole name: FVC_* and other wildcards are not names.
 PROSE_NAME = re.compile(r'\bFVC_[A-Z0-9_]*[A-Z0-9]\b(?!\*)')
 SCRIPT_READ = re.compile(r'\$\{(FVC_[A-Z0-9_]+)')
+LITERAL_NAME = re.compile(r'"(FVC_[A-Z0-9_]*[A-Z0-9])\b')
+CTEST_ENV = re.compile(r'ENVIRONMENT\s+"([^"]*)"')
 
 
 def check(root):
     """The problems in the tree at @p root, and the knobs read."""
-    problems, read = [], {}
+    problems, read, setters = [], {}, []
     for top in ("src", "bench", "examples", "tests"):
         for path in sorted((root / top).rglob("*")):
+            rel = path.relative_to(root).as_posix()
+            if path.name == "CMakeLists.txt":
+                text = path.read_text(errors="replace")
+                setters += [(rel, text, m.start(1), name)
+                            for m in CTEST_ENV.finditer(text)
+                            for name in re.findall(r'(FVC_[A-Z0-9_]+)=',
+                                                   m.group(1))]
+            elif path.suffix == ".py" and top == "bench":
+                text = path.read_text(errors="replace")
+                setters += [(rel, text, m.start(), m.group(0))
+                            for m in PROSE_NAME.finditer(text)]
             if path.suffix not in (".cc", ".hh", ".cpp", ".h"):
                 continue
-            rel = path.relative_to(root).as_posix()
             text = path.read_text(errors="replace")
             for m in GETENV.finditer(text) if rel != READER_FILE else []:
                 problems.append(
@@ -48,6 +66,9 @@ def check(root):
                     f"getenv on an FVC_* name outside {READER_FILE}")
             for m in READER_CALL.finditer(text) if rel != READER_TEST else []:
                 read.setdefault(m.group(1), rel)
+            if top != "src" and rel != READER_TEST:
+                setters += [(rel, text, m.start(1), m.group(1))
+                            for m in LITERAL_NAME.finditer(text)]
     table = root / TABLE_FILE
     rows = TABLE_ROW.findall(table.read_text() if table.is_file() else "")
     for name in sorted({n for n in rows if rows.count(n) > 1}):
@@ -68,6 +89,11 @@ def check(root):
                 problems.append(
                     f"{rel}:{text.count(chr(10), 0, m.start()) + 1}: "
                     f"names {m.group(0)}, which nothing reads")
+    for rel, text, pos, name in setters:
+        if name not in known:
+            problems.append(
+                f"{rel}:{text.count(chr(10), 0, pos) + 1}: "
+                f"sets {name}, which nothing reads")
     return problems, read
 
 
@@ -80,6 +106,10 @@ def self_test():
             READER_TEST: 'knobFlag("FVC_MADE_UP");\n',
             "src/a.cc": 'knobCount(\n    "FVC_A", 1, 1, 9);\n'
                         'knobChoice<Mode>("FVC_B", {}, Mode::X);\n',
+            "tests/t.cc": 'ScopedEnv a("FVC_A", "2");\n'
+                          'setenv("FVC_B=", 1); // "FVC_" prefix\n',
+            "tests/CMakeLists.txt": 'ENVIRONMENT "FVC_A=1;FVC_SCRIPT=2")\n',
+            "bench/g.py": 'env = {"FVC_A": "1"}  # drops FVC_* knobs\n',
             TABLE_FILE: "| `FVC_A` | knobCount |\n| `FVC_B` | knobChoice |\n",
             "bench/r.sh": 'n="${FVC_SCRIPT:-1}"\n',
             "DESIGN.md": "Every `FVC_*` knob; `FVC_A=2` and `FVC_B`.\n",
@@ -98,6 +128,13 @@ def self_test():
              "lists FVC_GONE"),
             ("DESIGN.md", files["DESIGN.md"] + "\n`FVC_DELETED=4` splits.\n",
              "DESIGN.md:3: names FVC_DELETED"),
+            ("tests/t.cc", files["tests/t.cc"] +
+             'ScopedEnv stale("FVC_LEASE", "100");\n',
+             "tests/t.cc:3: sets FVC_LEASE"),
+            ("tests/CMakeLists.txt",
+             'ENVIRONMENT "FVC_A=1;FVC_OLD=3")\n', "sets FVC_OLD"),
+            ("bench/g.py", files["bench/g.py"] + 'env["FVC_GONE"] = "1"\n',
+             "bench/g.py:2: sets FVC_GONE"),
         ]
         for rel, text, want in plants:
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
